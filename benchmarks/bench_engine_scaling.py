@@ -23,7 +23,6 @@ Set ``REPRO_REDUCED_GRID=1`` (the CI smoke mode) to shrink the series and
 candidate sample so the whole bench finishes in well under a minute.
 """
 
-import json
 import os
 import time
 
@@ -37,26 +36,13 @@ from repro.reporting import Table
 from repro.selection import evaluate_grid, sarimax_grid
 from repro.selection.grid import GRID_MAXITER, RacingPlan
 
-from .conftest import output_path
+from .conftest import write_bench_json
 
 REDUCED = os.environ.get("REPRO_REDUCED_GRID", "") not in ("", "0")
 
 N_WORKERS = (1, 2) if REDUCED else (1, 2, 4)
 
 BENCH_JSON = "BENCH_engine.json"
-
-
-def _write_bench_json(section: str, payload: dict) -> None:
-    """Merge one section into the machine-readable bench output."""
-    path = output_path(BENCH_JSON)
-    data = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +105,8 @@ def test_engine_scaling(benchmark, workload):
             rtol=1e-10,
         )
 
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "scaling",
         {
             "candidates": len(specs),
@@ -153,7 +140,8 @@ def test_task_bytes_broadcast_vs_inline(workload):
     assert new_style < 1024  # O(spec), not O(series length)
     assert new_style * 10 < old_style
 
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "task_bytes",
         {
             "bytes_per_task_inline": old_style,
@@ -199,7 +187,8 @@ def test_racing_vs_exhaustive(workload):
     assert full_fits * 2 <= len(specs)
     assert pruned > 0
 
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "racing",
         {
             "candidates": len(specs),

@@ -22,7 +22,6 @@ Results land in ``benchmarks/output/BENCH_kernels.json``. Set
 ``REPRO_REDUCED_GRID=1`` (the CI smoke mode) for a seconds-scale run.
 """
 
-import json
 import os
 import time
 
@@ -34,7 +33,7 @@ from repro.models import kernels
 from repro.reporting import Table
 from repro.selection import AutoConfig, auto_select
 
-from .conftest import output_path
+from .conftest import write_bench_json
 
 REDUCED = os.environ.get("REPRO_REDUCED_GRID", "") not in ("", "0")
 
@@ -46,19 +45,6 @@ REPEATS = 3 if REDUCED else 7
 #: The kernels whose wall time dominates optimiser objectives; these carry
 #: the 3x numba acceptance bar.
 OBJECTIVE_KERNELS = ("ets_recursion", "tbats_filter")
-
-
-def _write_bench_json(section: str, payload: dict) -> None:
-    """Merge one section into the machine-readable bench output."""
-    path = output_path(BENCH_JSON)
-    data = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _best_of(fn, *args, repeats: int | None = None) -> float:
@@ -320,7 +306,8 @@ def test_kernel_throughput_vs_legacy_loops():
     print()
     table.print()
 
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "kernel_throughput",
         {"backend_default": restore, "numba_available": kernels.NUMBA_AVAILABLE,
          "repeats": REPEATS, "reduced": REDUCED, "kernels": rows},
@@ -408,7 +395,8 @@ def test_batched_dispatch_amortisation():
     print()
     table.print()
 
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "batched_dispatch",
         {
             "kernel": "ets_recursion",
@@ -448,7 +436,7 @@ def test_auto_select_end_to_end_wall_time():
         "technique": outcome.technique,
         "kernel_counters": kernel_counters,
     }
-    _write_bench_json("auto_select_end_to_end", payload)
+    write_bench_json(BENCH_JSON, "auto_select_end_to_end", payload)
 
     table = Table(
         ["Backend", "Wall (s)", "Candidates", "Kernel dispatches"],

@@ -18,7 +18,6 @@ to ``benchmarks/output/BENCH_planner.json`` for CI trend tracking. Set
 ``REPRO_REDUCED_GRID=1`` (the CI smoke mode) for a seconds-scale run.
 """
 
-import json
 import os
 import time
 
@@ -27,7 +26,7 @@ import numpy as np
 from repro.planner import DEFAULT_CATALOG, ForecastBand, InstanceDemand, plan_estate
 from repro.reporting import Table
 
-from .conftest import output_path
+from .conftest import write_bench_json
 
 REDUCED = os.environ.get("REPRO_REDUCED_GRID", "") not in ("", "0")
 
@@ -36,18 +35,6 @@ BENCH_JSON = "BENCH_planner.json"
 HORIZON = 24
 REPEATS = 3 if REDUCED else 10
 SWEEP_INSTANCES = 100 if REDUCED else 200
-
-
-def _write_bench_json(section: str, payload: dict) -> None:
-    path = output_path(BENCH_JSON)
-    data = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _estate(n: int, seed: int = 0) -> list[InstanceDemand]:
@@ -109,7 +96,7 @@ def test_planner_scaling():
         payload[f"wall_seconds_{n}"] = elapsed
     print()
     table.print()
-    _write_bench_json("planner_scaling", payload)
+    write_bench_json(BENCH_JSON, "planner_scaling", payload)
     # Re-planning an estate must stay interactive, even on CI boxes.
     assert payload["plans_per_second_100"] > 1.0
 
@@ -137,6 +124,6 @@ def test_beam_width_sweep():
         payload[f"total_composite_{width}"] = plan.total_composite
     print()
     table.print()
-    _write_bench_json("beam_width", payload)
+    write_bench_json(BENCH_JSON, "beam_width", payload)
     # Widening the beam never worsens the plan (it strictly explores more).
     assert composites[8] <= composites[1] + 1e-9

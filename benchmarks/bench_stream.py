@@ -5,13 +5,13 @@ ingest is bookkeeping, window finalisation is a dictionary sweep, and
 the scheduler only pays for model fits when the staleness rules demand
 one. This bench pins numbers on each stage:
 
-* ingest-bus throughput — raw polls/s through ``push_many`` including
-  dedup, watermark and backpressure bookkeeping, on a mangled
-  (jittered + duplicated) delivery order;
+* ingest-bus throughput — raw polls/s through ``push_chunk`` (the
+  runtime's intake) including dedup, watermark and backpressure
+  bookkeeping, on a mangled (jittered + duplicated) delivery order;
 * ingest fast path — the same SoA envelope through ``push_columns``
-  versus the pre-columnar shape (rebuild ``AgentSample`` rows, push one
-  at a time) at estate scale (100k keys), with a parity check that both
-  buses land byte-identical counters;
+  versus the scalar reference (rebuild ``AgentSample`` rows, ``push``
+  one at a time) at estate scale (100k keys), with a parity check that
+  both buses land byte-identical counters;
 * sparse-tick finalisation — ``advance()`` over a dirty set of ~64
   touched keys must cost the same on a 1k-key and a 100k-key estate
   (dirty-key tracking makes quiet keys free);
@@ -28,7 +28,6 @@ to ``benchmarks/output/BENCH_stream.json`` for CI trend tracking. Set
 """
 
 import dataclasses
-import json
 import os
 import time
 
@@ -52,7 +51,7 @@ from repro.stream import (
 )
 from repro.workloads import OltpExperiment, generate_oltp_run
 
-from .conftest import output_path
+from .conftest import write_bench_json
 
 REDUCED = os.environ.get("REPRO_REDUCED_GRID", "") not in ("", "0")
 
@@ -62,20 +61,6 @@ N_INGEST = 50_000 if REDUCED else 400_000
 N_KEYS = 8
 STREAM_DAYS = 5.0 if REDUCED else 16.0
 MIN_OBSERVATIONS = 72 if REDUCED else 336
-
-
-def _write_bench_json(section: str, payload: dict) -> None:
-    path = output_path(BENCH_JSON)
-    data = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-    # Merge so two tests may contribute to one section (the fast-path
-    # throughput and sparse-advance probes share ``ingest_fastpath``).
-    data.setdefault(section, {}).update(payload)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _poll_stream(n_samples: int, n_keys: int) -> list[AgentSample]:
@@ -103,7 +88,7 @@ def mangled_stream():
 def test_ingest_throughput(mangled_stream):
     bus = IngestBus(allowed_lateness=1800.0)
     t0 = time.perf_counter()
-    accepted = bus.push_many(mangled_stream)
+    accepted = bus.push_chunk(mangled_stream)
     elapsed = time.perf_counter() - t0
     rate = len(mangled_stream) / elapsed
 
@@ -122,7 +107,8 @@ def test_ingest_throughput(mangled_stream):
     )
     print()
     table.print()
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "ingest",
         {
             "delivered": len(mangled_stream),
@@ -141,9 +127,9 @@ def test_ingest_fastpath_100k_keys():
 
     Both legs start at the shard envelope boundary — four parallel
     columns — and feed an equally warm bus (key table interned, every
-    key holding buffered slots). The per-sample leg is the pre-columnar
-    ingest shape: rebuild an ``AgentSample`` per row and push the batch
-    one sample at a time through ``push_many``. The columnar leg hands
+    key holding buffered slots). The per-sample leg is the scalar
+    reference: rebuild an ``AgentSample`` per row and ``push`` the batch
+    one sample at a time. The columnar leg hands
     the columns straight to ``push_columns``. Each envelope carries two
     hours of 15-minute polls per key (groups of 8 after the key-id
     sort), delivered round-by-round with per-round key shuffling —
@@ -177,13 +163,13 @@ def test_ingest_fastpath_100k_keys():
         )
 
     def per_sample(bus: IngestBus, columns) -> int:
-        # The pre-columnar ingest path from the envelope boundary.
+        # The scalar reference ladder from the envelope boundary.
         inst, mets, ts, vals = columns
         chunk = [
             AgentSample(instance=i, metric=m, timestamp=float(t), value=float(v))
             for i, m, t, v in zip(inst, mets, ts, vals)
         ]
-        return bus.push_many(chunk)
+        return sum(1 for sample in chunk if bus.push(sample))
 
     n = n_keys * rounds
     best = None
@@ -235,7 +221,8 @@ def test_ingest_fastpath_100k_keys():
     )
     print()
     table.print()
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "ingest_fastpath",
         {
             "n_keys": n_keys,
@@ -306,7 +293,8 @@ def test_sparse_advance_independent_of_estate():
     table.add_row([str(large), str(touched), f"{large_ms:.3f}"])
     print()
     table.print()
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "ingest_fastpath",
         {
             "small_keys": small,
@@ -325,7 +313,7 @@ def test_window_finalisation_rate(mangled_stream):
     batch = 4096
     t0 = time.perf_counter()
     for lo in range(0, len(mangled_stream), batch):
-        bus.push_many(mangled_stream[lo : lo + batch])
+        bus.push_chunk(mangled_stream[lo : lo + batch])
         agg.advance()
     agg.flush()
     elapsed = time.perf_counter() - t0
@@ -339,7 +327,8 @@ def test_window_finalisation_rate(mangled_stream):
     table.add_row([str(N_KEYS), str(closed), f"{elapsed:.3f}", f"{rate:,.0f}"])
     print()
     table.print()
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "windows",
         {
             "keys": N_KEYS,
@@ -400,7 +389,8 @@ def test_scheduler_end_to_end_latency():
     )
     print()
     table.print()
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "scheduler",
         {
             "polls": len(samples),
@@ -419,19 +409,20 @@ def test_scheduler_end_to_end_latency():
     assert counters.get("stream_selection_runs", 0) < ticks
 
 
-def test_cohort_tick_scaling():
+def test_cohort_tick_scaling(monkeypatch):
     """ms/tick vs key count: the cohort dividend at estate scale.
 
     One HES model is fitted once and cloned across the whole estate via
     ``dataclasses.replace`` + ``adopt_model`` (zero grid fits), then each
-    tick delivers one closed window per key and the same feed runs under
-    both dispatch modes. Under cohort dispatch the scheduler rolls every
-    cached state in one batched call per cohort and grades the estate
-    through one batched forecast; under per-key dispatch every key pays
-    full per-call model dispatch. The acceptance contract: cohort ticks
-    cost a fraction of per-key ticks at every estate size (the batched
-    kernels amortise dispatch), and growing the estate 10x never costs
-    more than ~10x (per-key cost must not *grow* with estate size).
+    tick delivers one closed window per key and the same feed runs twice.
+    With cohort grading the scheduler rolls every cached state in one
+    batched call per cohort and grades the estate through one batched
+    forecast. The scalar leg makes that batched forecast raise, so every
+    key falls back to the scalar grader and pays full per-call model
+    dispatch. The acceptance contract: cohort ticks cost a fraction of
+    scalar ticks at every estate size (the batched kernels amortise
+    dispatch), and growing the estate 10x never costs more than ~10x
+    (per-key cost must not *grow* with estate size).
     """
     key_counts = (100, 1000) if REDUCED else (100, 1000, 10_000)
     seed_hours = 168
@@ -443,13 +434,10 @@ def test_cohort_tick_scaling():
     base = 55.0 + 9.0 * np.sin(2 * np.pi * t / period) + rng.normal(0, 0.8, seed_hours)
     template = HoltWinters(period=period).fit(TimeSeries(base, Frequency.HOURLY))
 
-    def _run(n_keys: int, dispatch: str) -> tuple[float, dict]:
+    def _run(n_keys: int) -> tuple[float, dict]:
         planner = EstatePlanner(config=AutoConfig(technique="hes", n_jobs=1))
         sched = ForecastScheduler(
-            planner,
-            thresholds={"cpu": 95.0},
-            min_observations=seed_hours,
-            dispatch=dispatch,
+            planner, thresholds={"cpu": 95.0}, min_observations=seed_hours
         )
         for k in range(n_keys):
             name = f"db{k:05d}"
@@ -488,10 +476,17 @@ def test_cohort_tick_scaling():
         assert counters.get("stream_rolls_applied", 0) == n_keys * n_ticks
         return min(per_tick), dict(counters)
 
+    def broken_cohort_forecast(models, horizon, alpha=0.05):
+        raise RuntimeError("scalar leg: every key grades alone")
+
     results = {}
     for n_keys in key_counts:
-        cohort_s, counters = _run(n_keys, "cohort")
-        scalar_s, __ = _run(n_keys, "per-key")
+        cohort_s, counters = _run(n_keys)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.stream.scheduler.forecast_cohort_arrays", broken_cohort_forecast
+            )
+            scalar_s, __ = _run(n_keys)
         results[str(n_keys)] = {
             "ms_per_tick": 1e3 * cohort_s,
             "ms_per_tick_scalar": 1e3 * scalar_s,
@@ -501,7 +496,7 @@ def test_cohort_tick_scaling():
         }
 
     table = Table(
-        ["Keys", "cohort ms/tick", "per-key ms/tick", "speedup", "us/key/tick"],
+        ["Keys", "cohort ms/tick", "scalar ms/tick", "speedup", "us/key/tick"],
         title="Scheduler tick cost vs estate size",
     )
     for n_keys in key_counts:
@@ -513,7 +508,8 @@ def test_cohort_tick_scaling():
     print()
     table.print()
 
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "cohort_scaling",
         {
             "key_counts": list(key_counts),
@@ -546,7 +542,7 @@ def test_dayprofile_serving_vs_seasonal_naive():
 
     * **day-profile** — every key adopts a pre-fitted
       :class:`~repro.models.dayprofile.FittedDayProfile` (cloned from
-      one template, zero grid fits) and serves through cohort dispatch:
+      one template, zero grid fits) and serves through cohort grading:
       one batched label-roll plus one batched centroid-gather forecast
       per tick;
     * **seasonal-naive** — the same keys with selection broken (a
@@ -592,10 +588,10 @@ def test_dayprofile_serving_vs_seasonal_naive():
             assert len(out.advisories) == n_keys
         return per_tick
 
-    # Leg 1: adopted day-profile models served through cohort dispatch.
+    # Leg 1: adopted day-profile models served through cohort grading.
     planner = EstatePlanner(config=AutoConfig(technique="hes", n_jobs=1))
     sched = ForecastScheduler(
-        planner, thresholds={"cpu": 95.0}, min_observations=seed_hours, dispatch="cohort"
+        planner, thresholds={"cpu": 95.0}, min_observations=seed_hours
     )
     for k in range(n_keys):
         name = f"db{k:05d}"
@@ -644,7 +640,8 @@ def test_dayprofile_serving_vs_seasonal_naive():
     )
     print()
     table.print()
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "dayprofile_serving",
         {
             "n_keys": n_keys,
@@ -767,7 +764,8 @@ def test_shard_scaling():
     print()
     table.print()
 
-    _write_bench_json(
+    write_bench_json(
+        BENCH_JSON,
         "shard_scaling",
         {
             "n_keys": n_keys,

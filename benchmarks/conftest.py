@@ -14,6 +14,7 @@ as in the paper.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -43,6 +44,19 @@ N_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0"))
 def output_path(name: str) -> str:
     OUTPUT_DIR.mkdir(exist_ok=True)
     return str(OUTPUT_DIR / name)
+
+
+def write_bench_json(name: str, section: str, payload: dict) -> None:
+    """Merge ``payload`` into one section of ``benchmarks/output/<name>``.
+
+    Merging, not replacing, lets two tests contribute to one section
+    (the fast-path throughput and sparse-advance probes share
+    ``ingest_fastpath``). ``check_regression.py`` reads these files.
+    """
+    path = Path(output_path(name))
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.setdefault(section, {}).update(payload)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

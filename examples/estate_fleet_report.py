@@ -63,16 +63,7 @@ print(f"\nmost urgent: {urgent.key}")
 series = interpolate_missing(urgent.series)
 outcome = auto_select(series, config=AutoConfig(n_jobs=0))
 horizon = series.frequency.split_rule.horizon
-kwargs = {}
-if (
-    outcome.best_spec is not None
-    and outcome.best_spec.exog_columns
-    and outcome.shock_calendar is not None
-):
-    kwargs["exog_future"] = outcome.shock_calendar.future_matrix(horizon)[
-        :, : outcome.best_spec.exog_columns
-    ]
-forecast = outcome.model.forecast(horizon, **kwargs).clipped(0.0)
+forecast = outcome.forecast(horizon).clipped(0.0)
 print(
     render_panel(
         title=str(urgent.key),

@@ -38,16 +38,7 @@ for instance, bundle in run.instances.items():
     for metric, series in bundle.as_dict().items():
         series = interpolate_missing(series)
         outcome = auto_select(series, config=AutoConfig(n_jobs=0))
-        kwargs = {}
-        if (
-            outcome.best_spec is not None
-            and outcome.best_spec.exog_columns
-            and outcome.shock_calendar is not None
-        ):
-            kwargs["exog_future"] = outcome.shock_calendar.future_matrix(HORIZON_HOURS)[
-                :, : outcome.best_spec.exog_columns
-            ]
-        forecast = outcome.model.forecast(HORIZON_HOURS, **kwargs).clipped(0.0)
+        forecast = outcome.forecast(HORIZON_HOURS).clipped(0.0)
         rec = recommend_capacity(forecast, unit=UNITS[metric], headroom=0.10)
         current_peak = float(series.values.max())
         naive = 2.0 * current_peak

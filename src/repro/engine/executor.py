@@ -58,7 +58,6 @@ from ..exceptions import DataError
 
 __all__ = [
     "TaskReport",
-    "CohortSpec",
     "PayloadRef",
     "ExecutionPolicy",
     "Executor",
@@ -144,28 +143,6 @@ class TaskReport:
     @property
     def ok(self) -> bool:
         return not self.error and not self.timed_out
-
-
-@dataclass(frozen=True)
-class CohortSpec:
-    """One batched unit of work: a model family, its member keys, one payload.
-
-    The cohort is the scheduling currency of batched dispatch: N keys
-    whose per-key tasks collapsed into a single structure-of-arrays
-    kernel call. ``payload`` is whatever the task function needs to run
-    the whole cohort — typically a :class:`PayloadRef` from
-    :meth:`Executor.broadcast` (the zero-copy data plane applies
-    unchanged: one broadcast per cohort instead of one per key) plus
-    per-row parameter arrays.
-    """
-
-    family: str
-    keys: tuple
-    payload: object = None
-
-    def __post_init__(self) -> None:
-        if not self.keys:
-            raise DataError("a cohort needs at least one key")
 
 
 # ---------------------------------------------------------------------------
@@ -433,38 +410,6 @@ class Executor:
         :func:`resolve_payload`.
         """
         raise NotImplementedError
-
-    def run_cohorts(self, fn: Callable, cohorts: Sequence) -> list[TaskReport]:
-        """Run one task per :class:`CohortSpec`; reports in cohort order.
-
-        A cohort is one dispatch no matter how many keys ride in it:
-        fault injection and the retry policy apply per cohort (a failed
-        cohort is retried as a unit; the caller decides whether to
-        re-run its keys individually afterwards). Batch-size telemetry
-        lands in ``cohort_counters`` — dispatches, total rows and peak
-        rows — the executor-level mirror of the kernel registry's
-        per-kernel row counters.
-        """
-        cohorts = list(cohorts)
-        for spec in cohorts:
-            if not isinstance(spec, CohortSpec):
-                raise DataError(
-                    f"run_cohorts takes CohortSpec tasks, got {type(spec).__name__}"
-                )
-        reports = self.run(fn, cohorts)
-        counters = getattr(self, "cohort_counters", None)
-        if counters is None:
-            counters = self.cohort_counters = {}
-        for spec, report in zip(cohorts, reports):
-            if report.ok:
-                counters["cohorts_dispatched"] = counters.get("cohorts_dispatched", 0) + 1
-                counters["cohort_rows"] = counters.get("cohort_rows", 0) + len(spec.keys)
-                counters["cohort_rows_max"] = max(
-                    counters.get("cohort_rows_max", 0), len(spec.keys)
-                )
-            else:
-                counters["cohorts_failed"] = counters.get("cohorts_failed", 0) + 1
-        return reports
 
     def map(self, fn: Callable, tasks: Sequence) -> list:
         """Like :meth:`run` but unwraps values, re-raising the first failure."""

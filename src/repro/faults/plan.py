@@ -225,19 +225,6 @@ class FaultInjector:
         """False for an empty plan — every hook then short-circuits."""
         return not self.plan.empty
 
-    def active_at(self, site: str) -> bool:
-        """Whether the plan has any rule at ``site``.
-
-        Callers with a batched fast path (the bus's columnar intake)
-        check this before paying per-sample hook dispatch: a plan that
-        only targets, say, ``executor.submit`` must not force ingest
-        back onto the one-sample-at-a-time road. Skipping the hook for
-        an inactive site is observationally safe — :meth:`_fire` on such
-        a site fires nothing and leaves every counter and RNG stream
-        untouched.
-        """
-        return site in self._site_rules
-
     def _count(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
 
@@ -288,10 +275,57 @@ class FaultInjector:
         Returns the delivered samples: ``[]`` for a drop, two copies for
         a duplicate, otherwise one (possibly skewed/corrupted) sample.
         """
-        if not self.active:
+        if site not in self._site_rules:
             return [sample]
-        value = float(sample.value)
-        timestamp = float(sample.timestamp)
+        copies, timestamp, value, mutated = self._deliver(
+            site, float(sample.timestamp), float(sample.value)
+        )
+        if mutated:
+            sample = dataclasses.replace(sample, value=value, timestamp=timestamp)
+        return [sample] * copies
+
+    def on_columns(self, site: str, instances, metrics, timestamps, values):
+        """Columnar :meth:`on_sample`: mangle a delivery-ordered batch.
+
+        The four columns describe one batch, row ``i`` being one sample.
+        Rows pass the same rule code as :meth:`on_sample`, one event per
+        row in delivery order, so the fault sequence and every counter
+        match a per-sample loop over the same rows, NaN bursts included
+        (they carry across rows and batches). Returns the delivered
+        columns ``(instances, metrics, timestamps, values)``; the input
+        comes back untouched when the plan has no rule at ``site``.
+        """
+        if site not in self._site_rules:
+            return instances, metrics, timestamps, values
+        out_instances: list = []
+        out_metrics: list = []
+        out_timestamps: list[float] = []
+        out_values: list[float] = []
+        rows = zip(
+            instances,
+            metrics,
+            np.asarray(timestamps, dtype=np.float64).tolist(),
+            np.asarray(values, dtype=np.float64).tolist(),
+        )
+        for instance, metric, timestamp, value in rows:
+            copies, timestamp, value, __ = self._deliver(site, timestamp, value)
+            for __ in range(copies):
+                out_instances.append(instance)
+                out_metrics.append(metric)
+                out_timestamps.append(timestamp)
+                out_values.append(value)
+        return (
+            out_instances,
+            out_metrics,
+            np.array(out_timestamps, dtype=np.float64),
+            np.array(out_values, dtype=np.float64),
+        )
+
+    def _deliver(self, site: str, timestamp: float, value: float):
+        """One sample event: ``(copies, timestamp, value, mutated)``.
+
+        ``copies`` is 0 for a drop, 2 for a duplicate and 1 otherwise.
+        """
         mutated = False
         burst = self._nan_remaining.get(site, 0)
         if burst > 0:
@@ -320,11 +354,8 @@ class FaultInjector:
             elif rule.kind is FaultKind.CLOCK_SKEW:
                 timestamp += rule.param
                 mutated = True
-        if drop:
-            return []
-        if mutated:
-            sample = dataclasses.replace(sample, value=value, timestamp=timestamp)
-        return [sample, sample] if duplicate else [sample]
+        copies = 0 if drop else 2 if duplicate else 1
+        return copies, timestamp, value, mutated
 
     def check_call(self, site: str, make_error=None) -> None:
         """Fire call-level rules at ``site``; raise on a transient error.

@@ -243,7 +243,6 @@ def run_scenario(
     seed: int = 0,
     jobs: int = 1,
     days: float | None = None,
-    dispatch: str = "cohort",
     shards: int = 0,
     repo_backend: str = "sqlite",
     shard_processes: bool = True,
@@ -255,12 +254,11 @@ def run_scenario(
     ``seed``: agent hooks, repository write hooks, bus delivery hooks and
     the executor's submit hook all draw from their own per-site streams
     of that plan. ``jobs > 1`` fans re-selections out on a dedicated
-    (never the shared) pool executor. ``dispatch`` selects the
-    scheduler's grading mode (``"cohort"`` or ``"per-key"``); reports
-    are byte-identical across the two — only the counters in
-    ``_REPORT_COUNTERS`` are copied in, and every one of them is
-    dispatch-independent, which is exactly what the chaos parity suite
-    asserts.
+    (never the shared) pool executor. Only the counters in
+    ``_REPORT_COUNTERS`` are copied into the report, and none of them
+    depends on whether a key graded in a cohort or alone, so a scheduler
+    whose batched grading fails still produces the same report (the
+    chaos parity suite asserts this).
 
     ``shards > 0`` runs the streaming half on a
     :class:`~repro.shard.runtime.ShardedRuntime` instead: the agent and
@@ -312,7 +310,6 @@ def run_scenario(
         thresholds=dict(scenario.thresholds),
         min_observations=min_obs,
         seed=seed,
-        dispatch=dispatch,
         planning=planning,
     )
 

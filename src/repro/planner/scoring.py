@@ -241,12 +241,13 @@ def demands_from_entries(
     """Build per-instance demands from modelled estate entries.
 
     ``entries`` are :class:`~repro.service.estate.EstateEntry` objects
-    (duck-typed — anything with ``key``, ``series``, ``threshold`` and
-    ``outcome`` works); entries without a threshold or a fitted outcome
-    are skipped. Each entry's forecast is recomputed from its stored
-    selection outcome exactly as the estate advisory path does —
-    including the shock-calendar exogenous future — so the plan grades
-    the same distribution the alerts grade. Entries sharing a workload
+    (duck-typed — anything with ``key``, ``series``, ``threshold`` and a
+    :class:`~repro.selection.auto.SelectionOutcome` ``outcome`` works);
+    entries without a threshold or a fitted outcome are skipped. Each
+    entry's forecast is recomputed through
+    :meth:`~repro.selection.auto.SelectionOutcome.forecast`, the call the
+    estate advisory path makes, so the plan grades the same distribution
+    the alerts grade. Entries sharing a workload
     collapse into one demand carrying all of its metrics; the result is
     sorted by instance, which is what makes downstream plans independent
     of registration (and shard) order.
@@ -255,18 +256,8 @@ def demands_from_entries(
     for entry in entries:
         if entry.threshold is None or entry.outcome is None:
             continue
-        outcome = entry.outcome
         steps = horizon or entry.series.frequency.split_rule.horizon
-        kwargs = {}
-        if (
-            outcome.best_spec is not None
-            and outcome.best_spec.exog_columns
-            and outcome.shock_calendar is not None
-        ):
-            kwargs["exog_future"] = outcome.shock_calendar.future_matrix(steps)[
-                :, : outcome.best_spec.exog_columns
-            ]
-        forecast = outcome.model.forecast(steps, **kwargs).clipped(0.0)
+        forecast = entry.outcome.forecast(steps).clipped(0.0)
         bands, capacities = merged.setdefault(entry.key.workload, ({}, {}))
         bands[entry.key.metric] = ForecastBand.from_forecast(forecast)
         capacities[entry.key.metric] = float(entry.threshold)

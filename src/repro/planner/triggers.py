@@ -25,7 +25,7 @@ trigger state into one estate-wide view.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ..selection.staleness import WEEK_SECONDS

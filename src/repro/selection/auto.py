@@ -156,6 +156,31 @@ class SelectionOutcome:
         bits.append(f"{self.n_evaluated} candidates)")
         return " ".join(bits)
 
+    @property
+    def uses_exog(self) -> bool:
+        """Whether the winner forecasts with shock regressors."""
+        return bool(
+            self.best_spec is not None
+            and self.best_spec.exog_columns
+            and self.shock_calendar is not None
+        )
+
+    def forecast(
+        self, horizon: int, alpha: float = 0.05, model: FittedModel | None = None
+    ) -> Forecast:
+        """Forecast ``horizon`` steps with the winner, or with ``model``.
+
+        ``model`` is a rolled-forward copy of the winner (the streaming
+        scheduler's live state). When the winner uses shock regressors,
+        their future matrix is built from the outcome's shock calendar.
+        """
+        if model is None:
+            model = self.model
+        if not self.uses_exog:
+            return model.forecast(horizon, alpha=alpha)
+        exog_future = self.shock_calendar.future_matrix(horizon)[:, : self.best_spec.exog_columns]
+        return model.forecast(horizon, alpha=alpha, exog_future=exog_future)
+
     def spec_payload(self) -> dict:
         """The JSON-serialisable spec the repository stores for this winner.
 
@@ -285,15 +310,4 @@ def auto_forecast(
     outcome = auto_select(series, config=config, executor=executor)
     if horizon is None:
         horizon = series.frequency.split_rule.horizon
-    model = outcome.model
-    kwargs = {}
-    if (
-        outcome.best_spec is not None
-        and outcome.best_spec.exog_columns
-        and outcome.shock_calendar is not None
-    ):
-        kwargs["exog_future"] = outcome.shock_calendar.future_matrix(horizon)[
-            :, : outcome.best_spec.exog_columns
-        ]
-    forecast = model.forecast(horizon, alpha=alpha, **kwargs)
-    return forecast, outcome
+    return outcome.forecast(horizon, alpha=alpha), outcome

@@ -15,6 +15,10 @@ period". :class:`ModelMonitor` encodes those rules:
 * **data growth**: when the observation count grows by more than
   ``growth_factor`` relative to the training size, retraining is advised
   even if accuracy still holds.
+
+The rule order lives in :func:`staleness_verdict` alone. Its accuracy
+input is a flag, so the batch monitor (rolling RMSE) and the streaming
+scheduler (a CUSUM trip on roll innovations) share one precedence.
 """
 
 from __future__ import annotations
@@ -29,9 +33,12 @@ from ..core.timeseries import TimeSeries
 from ..exceptions import DataError
 from ..models.base import FittedModel
 
-__all__ = ["StalenessVerdict", "StalenessReason", "ModelMonitor"]
+__all__ = ["StalenessVerdict", "StalenessReason", "ModelMonitor", "staleness_verdict"]
 
 WEEK_SECONDS = 7 * 24 * 3600
+#: Stale once the observations since fitting reach this share of the
+#: training size.
+GROWTH_FACTOR = 0.5
 
 
 class StalenessReason(enum.Enum):
@@ -61,6 +68,37 @@ class StalenessVerdict:
         return f"{state}: {self.reason.value} [{detail}]"
 
 
+def staleness_verdict(
+    age_seconds: float,
+    degraded: bool,
+    observed: int,
+    train_size: int,
+    baseline_rmse: float,
+    current_rmse: float | None = None,
+    max_age_seconds: float = WEEK_SECONDS,
+    growth_factor: float = GROWTH_FACTOR,
+) -> StalenessVerdict:
+    """Apply the staleness rules in order; the first one that triggers wins.
+
+    Expiry beats accuracy, and accuracy beats data growth. ``degraded``
+    is the accuracy signal however the caller measured it: rolling RMSE
+    beyond a multiple of the baseline, or a CUSUM drift trip.
+    ``observed`` counts the observations since fitting and
+    ``train_size`` the observations the model was fitted on.
+    """
+    if age_seconds > max_age_seconds:
+        reason = StalenessReason.EXPIRED
+    elif degraded:
+        reason = StalenessReason.DEGRADED
+    elif observed >= growth_factor * train_size:
+        reason = StalenessReason.DATA_GROWTH
+    else:
+        reason = StalenessReason.FRESH
+    return StalenessVerdict(
+        reason is not StalenessReason.FRESH, reason, current_rmse, baseline_rmse, age_seconds
+    )
+
+
 @dataclass
 class ModelMonitor:
     """Tracks one stored model against incoming observations.
@@ -88,7 +126,7 @@ class ModelMonitor:
     fitted_at: float | None = None
     max_age_seconds: float = WEEK_SECONDS
     degradation_factor: float = 2.0
-    growth_factor: float = 0.5
+    growth_factor: float = GROWTH_FACTOR
     _observed: list[float] = field(default_factory=list, repr=False)
     _forecast_cache: np.ndarray | None = field(default=None, repr=False)
 
@@ -124,20 +162,20 @@ class ModelMonitor:
         step = self.model.train.frequency.seconds
         if now is None:
             now = self.fitted_at + self.n_observed * step
-        age = max(0.0, now - self.fitted_at)
         current = self._rolling_rmse()
-
-        if age > self.max_age_seconds:
-            return StalenessVerdict(True, StalenessReason.EXPIRED, current, self.baseline_rmse, age)
-        if (
+        degraded = (
             current is not None
             and self.n_observed >= 3
             and self.baseline_rmse > 0
             and current > self.degradation_factor * self.baseline_rmse
-        ):
-            return StalenessVerdict(True, StalenessReason.DEGRADED, current, self.baseline_rmse, age)
-        if self.n_observed >= self.growth_factor * len(self.model.train):
-            return StalenessVerdict(
-                True, StalenessReason.DATA_GROWTH, current, self.baseline_rmse, age
-            )
-        return StalenessVerdict(False, StalenessReason.FRESH, current, self.baseline_rmse, age)
+        )
+        return staleness_verdict(
+            age_seconds=max(0.0, now - self.fitted_at),
+            degraded=degraded,
+            observed=self.n_observed,
+            train_size=len(self.model.train),
+            baseline_rmse=self.baseline_rmse,
+            current_rmse=current,
+            max_age_seconds=self.max_age_seconds,
+            growth_factor=self.growth_factor,
+        )

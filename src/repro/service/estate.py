@@ -191,16 +191,7 @@ def _advise(entry: EstateEntry, outcome: SelectionOutcome, horizon: int | None) 
     if entry.threshold is None:
         return
     advisory_horizon = horizon or entry.series.frequency.split_rule.horizon
-    kwargs = {}
-    if (
-        outcome.best_spec is not None
-        and outcome.best_spec.exog_columns
-        and outcome.shock_calendar is not None
-    ):
-        kwargs["exog_future"] = outcome.shock_calendar.future_matrix(advisory_horizon)[
-            :, : outcome.best_spec.exog_columns
-        ]
-    forecast = outcome.model.forecast(advisory_horizon, **kwargs).clipped(0.0)
+    forecast = outcome.forecast(advisory_horizon).clipped(0.0)
     entry.advisory = predict_breach(forecast, entry.threshold)
 
 

@@ -26,7 +26,7 @@ from ..engine.telemetry import RunTrace
 from ..exceptions import DataError
 from ..models.base import Forecast
 from ..selection.auto import AutoConfig, SelectionOutcome, auto_select
-from ..selection.staleness import ModelMonitor, StalenessVerdict
+from ..selection.staleness import WEEK_SECONDS, ModelMonitor, StalenessVerdict
 from .sizing import CapacityRecommendation, recommend_capacity
 from .thresholds import BreachPrediction, predict_breach
 
@@ -154,7 +154,7 @@ class CapacityPlanner:
             return None
         series = self.series(instance, metric)
         age = series.end - record.fitted_at
-        if age > 7 * 24 * 3600:
+        if age > WEEK_SECONDS:
             return None  # past the weekly rule: caller should re-select
 
         from ..core.preprocessing import interpolate_missing
@@ -277,16 +277,7 @@ class CapacityPlanner:
         outcome = self.select_model(instance, metric)
         if horizon is None:
             horizon = self.frequency.split_rule.horizon
-        kwargs = {}
-        if (
-            outcome.best_spec is not None
-            and outcome.best_spec.exog_columns
-            and outcome.shock_calendar is not None
-        ):
-            kwargs["exog_future"] = outcome.shock_calendar.future_matrix(horizon)[
-                :, : outcome.best_spec.exog_columns
-            ]
-        return outcome.model.forecast(horizon, alpha=alpha, **kwargs).clipped(0.0)
+        return outcome.forecast(horizon, alpha=alpha).clipped(0.0)
 
     def threshold_advisory(
         self,

@@ -10,11 +10,12 @@ gives :class:`~repro.service.estate.EstatePlanner` that store:
   fingerprint)`` — re-registering the *same* data under the *same*
   selection knobs is a cache hit and costs zero grid fits;
 * every cached outcome carries a
-  :class:`~repro.selection.staleness.ModelMonitor`; feeding monitored
-  observations through :meth:`SelectionCache.observe` evicts the entry
-  as soon as the paper's rules trigger (age > one week, rolling RMSE
-  beyond ``degradation_factor ×`` baseline, or significant data growth),
-  forcing a fresh selection on the next report;
+  :class:`~repro.selection.staleness.ModelMonitor` with the paper's
+  defaults; feeding monitored observations through
+  :meth:`SelectionCache.observe` evicts the entry as soon as its rules
+  trigger (age > one week, rolling RMSE beyond twice the baseline, or
+  significant data growth), forcing a fresh selection on the next
+  report;
 * hit / miss / invalidation counts are kept on the cache and folded into
   the estate's :class:`~repro.engine.telemetry.RunTrace`.
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from ..core.timeseries import TimeSeries
 from ..selection.auto import AutoConfig, SelectionOutcome
-from ..selection.staleness import WEEK_SECONDS, ModelMonitor, StalenessVerdict
+from ..selection.staleness import ModelMonitor, StalenessVerdict
 
 __all__ = [
     "SelectionCache",
@@ -73,12 +74,9 @@ class CachedSelection:
 class SelectionCache:
     """Fingerprint-keyed store of selection outcomes with staleness rules.
 
-    Parameters
-    ----------
-    max_age_seconds / degradation_factor / growth_factor:
-        The :class:`~repro.selection.staleness.ModelMonitor` knobs applied
-        to every cached outcome (defaults: one week, 2× baseline RMSE,
-        50 % data growth).
+    Every cached outcome is watched by a
+    :class:`~repro.selection.staleness.ModelMonitor` with its default
+    rules (one week, 2× baseline RMSE, 50 % data growth).
 
     Attributes
     ----------
@@ -87,9 +85,6 @@ class SelectionCache:
         into its :class:`~repro.engine.telemetry.RunTrace`.
     """
 
-    max_age_seconds: float = WEEK_SECONDS
-    degradation_factor: float = 2.0
-    growth_factor: float = 0.5
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
@@ -129,13 +124,7 @@ class SelectionCache:
         self._records[key] = CachedSelection(
             fingerprint=self._fingerprint(series, config),
             outcome=outcome,
-            monitor=ModelMonitor(
-                model=outcome.model,
-                baseline_rmse=outcome.test_rmse,
-                max_age_seconds=self.max_age_seconds,
-                degradation_factor=self.degradation_factor,
-                growth_factor=self.growth_factor,
-            ),
+            monitor=ModelMonitor(model=outcome.model, baseline_rmse=outcome.test_rmse),
         )
 
     def observe(self, key, values) -> StalenessVerdict | None:

@@ -181,10 +181,8 @@ class ShardHandler:
         chunk, split so intake and window/advisory work are timed apart:
         the push runs first, then an empty-chunk ``ingest_batch`` carries
         the clock advance and the tick. The envelope's four columns go
-        directly into :meth:`IngestBus.push_columns` — no ``AgentSample``
-        reconstruction on the hot path (``push_columns`` itself rebuilds
-        samples only when a fault plan targets ``ingest.deliver``, where
-        the per-sample delivery hook and its RNG draw order must hold).
+        directly into :meth:`IngestBus.push_columns` (delivery faults
+        included) — no ``AgentSample`` reconstruction on the way.
         An empty envelope still ticks — every shard ticks every global
         chunk, keeping alert debounce streak counts identical to the
         single-process runtime.

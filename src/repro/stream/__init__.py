@@ -8,7 +8,7 @@ package keeps that answer *current* while samples keep arriving:
   metric)`` ↔ dense int id, shared by bus, aggregator and scheduler;
 * :mod:`~repro.stream.ingest` — the sample bus: dedup, watermarks,
   bounded buffering with backpressure accounting, and the columnar
-  ``push_columns`` fast path with dirty-key tracking;
+  ``push_columns`` intake with dirty-key tracking;
 * :mod:`~repro.stream.aggregate` — incremental hourly windows that
   finalise as watermarks advance, bit-equal to the batch repository's
   ``load_series``;

@@ -24,15 +24,17 @@ front door that absorbs exactly that traffic:
 
 Two intake shapes share those semantics. :meth:`push` is the sequential
 reference: one sample, the full check ladder. :meth:`push_columns` is the
-**columnar fast path**: a whole delivery-ordered batch as four parallel
-columns, admitted in one vectorized pass — grid snapping, non-finite
-masking, dedup, frontier-late and backpressure checks all batched, with
-one counter-dict update per batch instead of one per sample. Its contract
-is *sample-for-sample identity* with a sequential ``push`` loop over the
-same rows in delivery order: first-wins dedup among intra-batch
-duplicates, the exact sample at which capacity rejection begins, counter
-totals, buffer contents, even dict insertion order all match bit for bit
-(property-tested in ``tests/stream/test_columnar.py``).
+**columnar intake** every batch takes (:meth:`push_chunk` converts an
+``AgentSample`` list into its columns): a whole delivery-ordered batch as
+four parallel columns, admitted in one vectorized pass — grid snapping,
+non-finite masking, dedup, frontier-late and backpressure checks all
+batched, with one counter-dict update per batch instead of one per
+sample. Its contract is *sample-for-sample identity* with a sequential
+``push`` loop over the same rows in delivery order: first-wins dedup
+among intra-batch duplicates, the exact sample at which capacity
+rejection begins, counter totals, buffer contents, even dict insertion
+order all match bit for bit (property-tested in
+``tests/stream/test_columnar.py``).
 
 Internally every key is interned through a shared
 :class:`~repro.stream.keys.KeyTable` into a dense int id, and per-key
@@ -143,10 +145,8 @@ class IngestBus:
         Optional :class:`~repro.faults.plan.FaultInjector` driving the
         ``ingest.deliver`` hook point — the "network" between agent and
         repository, where batches lose, duplicate or corrupt samples in
-        flight. Applied in the batch intakes only when the plan actually
-        targets that site; :meth:`push` stays a pure single-sample
-        intake, and a plan with no ``ingest.deliver`` rules keeps the
-        columnar fast path engaged.
+        flight. :meth:`push_columns` runs each batch through it before
+        admission; :meth:`push` stays a pure single-sample intake.
     key_table:
         Shared :class:`~repro.stream.keys.KeyTable`; a fresh private one
         when omitted. The aggregator and scheduler borrow the bus's
@@ -266,42 +266,15 @@ class IngestBus:
         self._count("samples_accepted")
         return True
 
-    def push_many(self, samples) -> int:
-        """Push a batch in order, one sample at a time; returns accepts.
-
-        The batch first passes the ``ingest.deliver`` hook (when an
-        injector's plan has rules at that site): per-sample delivery
-        faults — drops, duplicates, corruption, NaN bursts, clock skew —
-        mangle the batch before the bus's ordinary dedup/lateness/
-        backpressure accounting sees it. Injected NaNs surface as
-        ``samples_nonfinite`` rejections, injected duplicates as
-        ``samples_duplicate``: chaos traffic is counted by the same
-        ledger as real traffic. A plan with no ``ingest.deliver`` rules
-        skips the per-sample delivery dispatch entirely.
-        """
-        injector = self.injector
-        if injector is not None and injector.active_at("ingest.deliver"):
-            delivered = []
-            for sample in samples:
-                delivered.extend(injector.on_sample("ingest.deliver", sample))
-            samples = delivered
-        return sum(1 for sample in samples if self.push(sample))
-
     def push_chunk(self, samples) -> int:
         """Columnar intake for a delivery-ordered ``AgentSample`` list.
 
         The edge conversion: splits the chunk into columns once and runs
-        :meth:`push_columns`. Falls back to :meth:`push_many` when a
-        fault plan targets ``ingest.deliver`` (the hook is defined
-        per-sample, so chaos runs keep the sequential delivery path and
-        its exact RNG draw order).
+        :meth:`push_columns`; returns how many samples were accepted.
         """
         n = len(samples)
         if n == 0:
             return 0
-        injector = self.injector
-        if injector is not None and injector.active_at("ingest.deliver"):
-            return self.push_many(samples)
         return self.push_columns(
             [s.instance for s in samples],
             [s.metric for s in samples],
@@ -318,6 +291,13 @@ class IngestBus:
         calling :meth:`push` on each row in order, but the work is
         batched:
 
+        * with an injector, the batch first passes the ``ingest.deliver``
+          hook (:meth:`~repro.faults.plan.FaultInjector.on_columns`):
+          drops, duplicates, corruption, NaN bursts and clock skew mangle
+          the rows before admission sees them, so injected NaNs surface
+          as ``samples_nonfinite`` and injected duplicates as
+          ``samples_duplicate`` — chaos traffic is counted by the same
+          ledger as real traffic;
         * non-finite values are masked out first (``samples_nonfinite``)
           and timestamps snap to grid slots via ``np.round(ts / step)``
           — the same banker's rounding as the scalar ``int(round(...))``;
@@ -344,20 +324,17 @@ class IngestBus:
         and a counter key is only created when its batch total is
         non-zero, matching the sequential loop's lazily-created ledger.
         """
-        injector = self.injector
-        if injector is not None and injector.active_at("ingest.deliver"):
-            chunk = [
-                AgentSample(instance=i, metric=m, timestamp=float(t), value=float(v))
-                for i, m, t, v in zip(instances, metrics, timestamps, values)
-            ]
-            return self.push_many(chunk)
+        values = np.asarray(values, dtype=np.float64)
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        if not (len(instances) == len(metrics) == len(timestamps) == len(values)):
+            raise DataError("push_columns requires four equal-length columns")
+        if self.injector is not None:
+            instances, metrics, timestamps, values = self.injector.on_columns(
+                "ingest.deliver", instances, metrics, timestamps, values
+            )
         n = len(instances)
         if n == 0:
             return 0
-        values = np.asarray(values, dtype=np.float64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if not (len(metrics) == len(timestamps) == len(values) == n):
-            raise DataError("push_columns requires four equal-length columns")
 
         finite = np.isfinite(values)
         n_finite = int(finite.sum())

@@ -161,10 +161,6 @@ class StreamConfig:
         Alert debounce knobs (see :class:`~repro.stream.alerts.AlertManager`).
     min_observations / horizon / history_cap:
         Scheduler knobs (see :class:`~repro.stream.scheduler.ForecastScheduler`).
-    dispatch:
-        Scheduler grading mode: ``"cohort"`` (default) batches same-spec
-        keys into one kernel call per tick, ``"per-key"`` forces the
-        scalar path. Advisories are bit-identical either way.
     dayprofile:
         Enable the day-profile rung of the scheduler's degradation
         ladder (see :class:`~repro.stream.scheduler.ForecastScheduler`).
@@ -195,7 +191,6 @@ class StreamConfig:
     min_observations: int | None = None
     horizon: int | None = None
     history_cap: int | None = None
-    dispatch: str = "cohort"
     dayprofile: bool = False
     planning: bool = False
     plan_sustained_ticks: int = 6
@@ -265,7 +260,6 @@ class StreamRuntime:
             min_observations=self.config.min_observations,
             history_cap=self.config.history_cap,
             trace=self.trace,
-            dispatch=self.config.dispatch,
             repository=repository,
             key_table=self.bus.key_table,
             dayprofile=self.config.dayprofile,
@@ -351,10 +345,6 @@ class StreamRuntime:
         debounce streaks count ticks identically to one process.
         """
         if chunk:
-            # Columnar edge conversion: one pass splits the chunk into
-            # SoA columns for the bus's vectorized intake (push_chunk
-            # falls back to per-sample delivery when ingest faults are
-            # planned, keeping the chaos path's RNG draw order intact).
             self.bus.push_chunk(chunk)
             if clock_target is None:
                 clock_target = max(s.timestamp for s in chunk)

@@ -30,9 +30,10 @@ finalised hourly window is one heartbeat:
    batched ``(batch, horizon)`` kernel call
    (:func:`repro.models.ets.forecast_cohort_arrays` →
    :func:`repro.service.thresholds.predict_breach_arrays`), bit-identical
-   to the per-key path (``dispatch="per-key"`` forces the scalar path
-   for A/B verification). An advisory memo per key skips the forecast
-   entirely while (model state, elapsed offset, threshold) are unchanged.
+   to grading each key alone. Families that cannot join a cohort
+   (ARIMA/SARIMA, TBATS, shock-regressor fits) grade one key at a time.
+   An advisory memo per key skips the forecast entirely while (model
+   state, elapsed offset, threshold) are unchanged.
 
 The scheduler never sleeps and never reads the wall clock directly: time
 is the injected :class:`~repro.stream.clock.Clock`, falling back to the
@@ -56,7 +57,7 @@ Degraded advisories carry the producing mode in
 counted in the trace's ``faults`` block; a failed key is re-registered
 on its next window (reason ``"recovery"``) so degradation is a bridge,
 not a terminal state. A key whose roll or cohort grading fails falls
-back to its per-key path alone — it drops out of its cohort, not the
+back to its scalar path alone — it drops out of its cohort, not the
 whole batch.
 """
 
@@ -82,7 +83,12 @@ from ..models.dayprofile import (
 from ..models.ets import FittedExpSmoothing, advance_cohort, forecast_cohort_arrays
 from ..models.naive import Naive, SeasonalNaive
 from ..selection.auto import SelectionOutcome
-from ..selection.staleness import WEEK_SECONDS, StalenessReason, StalenessVerdict
+from ..selection.staleness import (
+    WEEK_SECONDS,
+    StalenessReason,
+    StalenessVerdict,
+    staleness_verdict,
+)
 from ..service.estate import EstatePlanner, EstateReport, WorkloadKey, WorkloadStatus
 from ..service.thresholds import (
     BreachPrediction,
@@ -273,11 +279,6 @@ class ForecastScheduler:
         Granularity of the incoming windows (hourly).
     trace:
         Telemetry sink; a fresh :class:`RunTrace` when not supplied.
-    dispatch:
-        ``"cohort"`` (default) grades same-spec exponential-smoothing
-        keys in one batched kernel call per tick; ``"per-key"`` forces
-        the scalar path. Both produce bit-identical advisories — the
-        knob exists for A/B verification and fault isolation.
     repository:
         Optional :class:`~repro.agent.repository.MetricsRepository` the
         scheduler persists into as it goes: every tick's closed windows
@@ -303,7 +304,6 @@ class ForecastScheduler:
         history_cap: int | None = None,
         window_frequency: Frequency = Frequency.HOURLY,
         trace: RunTrace | None = None,
-        dispatch: str = "cohort",
         repository=None,
         key_table: KeyTable | None = None,
         dayprofile: bool = False,
@@ -314,8 +314,6 @@ class ForecastScheduler:
             raise DataError("min_observations must be at least 2")
         if history_cap is not None and history_cap < min_observations:
             raise DataError("history_cap cannot be smaller than min_observations")
-        if dispatch not in ("cohort", "per-key"):
-            raise DataError(f"dispatch must be 'cohort' or 'per-key', got {dispatch!r}")
         self.planner = planner
         self.customer = customer
         self.thresholds = dict(thresholds or {})
@@ -326,7 +324,6 @@ class ForecastScheduler:
         self.history_cap = history_cap
         self.window_frequency = window_frequency
         self.trace = trace if trace is not None else RunTrace()
-        self.dispatch = dispatch
         self.repository = repository
         #: Opt-in day-profile rung of the degradation ladder (between
         #: cached-model and seasonal-naive). Off by default so the
@@ -553,12 +550,7 @@ class ForecastScheduler:
         (their forecast needs a future shock matrix aligned to the
         original origin) and models without an ``advance``.
         """
-        uses_exog = (
-            outcome.best_spec is not None
-            and outcome.best_spec.exog_columns
-            and outcome.shock_calendar is not None
-        )
-        if uses_exog or not hasattr(outcome.model, "advance"):
+        if outcome.uses_exog or not hasattr(outcome.model, "advance"):
             return None
         live = self._live.get(kid)
         if live is None or live.source is not outcome:
@@ -576,10 +568,8 @@ class ForecastScheduler:
 
         Same-spec exponential-smoothing keys advance in one batched
         state-space recursion (:func:`repro.models.ets.advance_cohort`);
-        other families advance per key. Runs identically under both
-        dispatch modes — rolls determine model *state*, the dispatch
-        knob only changes how grading is executed. A key whose roll
-        fails (non-finite window, sick state) drops back to the legacy
+        other families advance per key. A key whose roll fails
+        (non-finite window, sick state) drops back to the legacy
         monitor-based observe path alone; its cohort peers still roll.
         """
         candidates: list[tuple[int, object, list[float]]] = []
@@ -641,11 +631,11 @@ class ForecastScheduler:
     ) -> StalenessVerdict:
         """Install a rolled state and run the cheap staleness checks.
 
-        Mirrors :meth:`~repro.selection.staleness.ModelMonitor.check`'s
-        rule order — expiry, accuracy, growth — but the accuracy rule is
-        the CUSUM drift test on the roll's standardized innovations
-        instead of a fresh forecast-vs-observed RMSE, so staying healthy
-        costs O(new windows) per key per tick.
+        The rules and their order are
+        :func:`~repro.selection.staleness.staleness_verdict`'s; the
+        accuracy signal is the CUSUM drift test on the roll's
+        standardized innovations instead of a fresh forecast-vs-observed
+        RMSE, so staying healthy costs O(new windows) per key per tick.
         """
         model, innovations = rolled
         live = self._live[kid]
@@ -656,24 +646,16 @@ class ForecastScheduler:
         scale = math.sqrt(sigma2) if sigma2 > 0 and math.isfinite(sigma2) else 1.0
         tripped = live.detector.update_many(np.asarray(innovations, dtype=float) / scale)
 
-        age = max(0.0, now - live.fitted_at) if math.isfinite(now) else 0.0
-        reason = StalenessReason.FRESH
-        if age > self.planner.cache.max_age_seconds:
-            reason = StalenessReason.EXPIRED
-        elif tripped:
-            reason = StalenessReason.DEGRADED
-            self.trace.count("stream_drift_refits")
-        elif len(model.train) - live.initial_len >= self.planner.cache.growth_factor * live.initial_len:
-            reason = StalenessReason.DATA_GROWTH
-        stale = reason is not StalenessReason.FRESH
-        verdict = StalenessVerdict(
-            stale=stale,
-            reason=reason,
-            current_rmse=None,
+        verdict = staleness_verdict(
+            age_seconds=max(0.0, now - live.fitted_at) if math.isfinite(now) else 0.0,
+            degraded=tripped,
+            observed=len(model.train) - live.initial_len,
+            train_size=live.initial_len,
             baseline_rmse=float(live.source.test_rmse),
-            age_seconds=age,
         )
-        if stale:
+        if verdict.reason is StalenessReason.DEGRADED:
+            self.trace.count("stream_drift_refits")
+        if verdict.stale:
             self._live.pop(kid, None)
             self.planner.cache.invalidate(wkey)
         return verdict
@@ -809,7 +791,7 @@ class ForecastScheduler:
         if deferred:
             self._grade_cohorts(deferred, advisories, now)
         # Cohort results land out of order; re-serve in registry order so
-        # both dispatch modes hand the alerting layer the same sequence.
+        # the alerting layer sees the sequence scalar grading would give.
         return {wk: advisories[wk] for wk in order if wk in advisories}
 
     def _grade_healthy(self, kid, wkey, entry, now, deferred):
@@ -829,16 +811,7 @@ class ForecastScheduler:
         ):
             self.trace.count("stream_advisory_cache_hits")
             return memo.advisory
-        uses_exog = (
-            outcome.best_spec is not None
-            and outcome.best_spec.exog_columns
-            and outcome.shock_calendar is not None
-        )
-        if (
-            self.dispatch == "cohort"
-            and not uses_exog
-            and isinstance(model, (FittedExpSmoothing, FittedDayProfile))
-        ):
+        if not outcome.uses_exog and isinstance(model, (FittedExpSmoothing, FittedDayProfile)):
             deferred.append(_CohortJob(kid, wkey, entry, model, base_horizon, elapsed))
             return _DEFERRED
         advisory = self._grade_entry(entry, now, model=model)
@@ -1000,23 +973,12 @@ class ForecastScheduler:
         planner scores. With a rolled ``model`` the origin already sits
         at the stream head and ``elapsed`` is simply zero.
         """
-        outcome = entry.outcome
         if model is None:
-            model = outcome.model
+            model = entry.outcome.model
         base_horizon, elapsed = self._grading_window(model, now)
         if base_horizon is None:
             return None
-        horizon = base_horizon + elapsed
-        kwargs = {}
-        if (
-            outcome.best_spec is not None
-            and outcome.best_spec.exog_columns
-            and outcome.shock_calendar is not None
-        ):
-            kwargs["exog_future"] = outcome.shock_calendar.future_matrix(horizon)[
-                :, : outcome.best_spec.exog_columns
-            ]
-        forecast = model.forecast(horizon, **kwargs).clipped(0.0)
+        forecast = entry.outcome.forecast(base_horizon + elapsed, model=model).clipped(0.0)
         if elapsed > 0:
             forecast = Forecast(
                 mean=forecast.mean[elapsed:],

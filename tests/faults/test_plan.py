@@ -187,6 +187,91 @@ class TestSampleHooks:
         assert out.value == 5.0
 
 
+#: Delivery rule sets the column hook must replay exactly as on_sample does.
+DELIVERY_CASES = {
+    "drop": (FaultRule(site="ingest.deliver", kind=FaultKind.DROP_SAMPLE, probability=0.3),),
+    "duplicate": (
+        FaultRule(site="ingest.deliver", kind=FaultKind.DUPLICATE_SAMPLE, every=3),
+    ),
+    "corrupt": (
+        FaultRule(
+            site="ingest.deliver", kind=FaultKind.CORRUPT_VALUE, probability=0.25, param=40.0
+        ),
+    ),
+    "clock-skew": (
+        FaultRule(site="ingest.deliver", kind=FaultKind.CLOCK_SKEW, probability=0.3, param=450.0),
+    ),
+    # Fires on events 5 and 12: the first burst covers rows 5-8, so it
+    # starts in the first batch of 7 and ends in the second.
+    "nan-burst-across-batches": (
+        FaultRule(site="ingest.deliver", kind=FaultKind.NAN_BURST, every=7, start=5, param=4),
+    ),
+    "mixed": (
+        FaultRule(site="ingest.deliver", kind=FaultKind.NAN_BURST, probability=0.1, param=3),
+        FaultRule(site="ingest.deliver", kind=FaultKind.DROP_SAMPLE, probability=0.2),
+        FaultRule(site="ingest.deliver", kind=FaultKind.DUPLICATE_SAMPLE, probability=0.2),
+        FaultRule(site="ingest.deliver", kind=FaultKind.CORRUPT_VALUE, probability=0.2),
+        FaultRule(site="ingest.deliver", kind=FaultKind.CLOCK_SKEW, probability=0.2, param=-60.0),
+    ),
+}
+
+
+def _rows(instances, metrics, timestamps, values):
+    """Delivered rows, comparable (NaN values compare equal as 'nan')."""
+    return [
+        (i, m, float(t), "nan" if math.isnan(v) else float(v))
+        for i, m, t, v in zip(instances, metrics, timestamps, values)
+    ]
+
+
+class TestColumnHook:
+    """``on_columns`` is ``on_sample`` run row by row over a batch."""
+
+    @pytest.mark.parametrize("case", sorted(DELIVERY_CASES))
+    def test_matches_on_sample_row_by_row(self, case):
+        plan = FaultPlan(rules=DELIVERY_CASES[case], seed=5)
+        columnar, scalar = FaultInjector(plan), FaultInjector(plan)
+        batches = [
+            [sample(value=float(10 * b + i), timestamp=900.0 * (10 * b + i)) for i in range(7)]
+            for b in range(3)
+        ]
+        for batch in batches:
+            got = columnar.on_columns(
+                "ingest.deliver",
+                [s.instance for s in batch],
+                [s.metric for s in batch],
+                [s.timestamp for s in batch],
+                [s.value for s in batch],
+            )
+            delivered = [d for s in batch for d in scalar.on_sample("ingest.deliver", s)]
+            want = _rows(
+                [d.instance for d in delivered],
+                [d.metric for d in delivered],
+                [d.timestamp for d in delivered],
+                [d.value for d in delivered],
+            )
+            assert _rows(*got) == want
+            assert columnar.counters == scalar.counters
+        assert columnar.counters.get("faults_injected", 0) > 0
+
+    def test_nan_burst_carries_into_the_next_batch(self):
+        plan = FaultPlan(rules=DELIVERY_CASES["nan-burst-across-batches"])
+        injector = FaultInjector(plan)
+        columns = (["db1"] * 7, ["cpu"] * 7, [0.0] * 7, [1.0] * 7)
+        __, __, __, first = injector.on_columns("ingest.deliver", *columns)
+        __, __, __, second = injector.on_columns("ingest.deliver", *columns)
+        assert [math.isnan(v) for v in first] == [False] * 5 + [True] * 2
+        assert [math.isnan(v) for v in second] == [True] * 2 + [False] * 3 + [True] * 2
+
+    def test_site_without_rules_returns_input_untouched(self):
+        rule = FaultRule(site="executor.submit", kind=FaultKind.WORKER_CRASH, every=1)
+        injector = FaultInjector(FaultPlan(rules=(rule,)))
+        columns = (["db1"], ["cpu"], [0.0], [float("nan")])
+        out = injector.on_columns("ingest.deliver", *columns)
+        assert all(a is b for a, b in zip(out, columns))
+        assert injector.counters == {}
+
+
 class TestCallHooks:
     def test_transient_error_default_exception(self):
         rule = FaultRule(site="agent.poll", kind=FaultKind.TRANSIENT_ERROR, every=1)

@@ -74,29 +74,32 @@ class TestDeterminism:
 class TestDispatchParity:
     """Chaos drills must not care how the scheduler grades its keys.
 
-    Every counter copied into the survival report is dispatch-independent,
-    so running the same scenario under cohort and per-key dispatch has to
-    produce byte-identical reports — faults knock individual keys out of
-    their cohort, never the whole batch.
+    No counter copied into the survival report depends on whether a key
+    graded in a cohort or alone, so a run whose batched forecasts all
+    raise (every job then takes the scalar grader) has to produce a
+    byte-identical report — faults knock individual keys out of their
+    cohort, never the whole batch.
     """
 
     @pytest.mark.parametrize("name", ["nan-burst", "blackout"])
-    def test_cohort_and_per_key_reports_match(self, name):
-        batched = run_scenario(name, seed=11, dispatch="cohort")
-        scalar = run_scenario(name, seed=11, dispatch="per-key")
+    def test_cohort_and_per_key_reports_match(self, name, monkeypatch):
+        batched = run_scenario(name, seed=11)
+
+        def boom(models, horizon, alpha=0.05):
+            raise RuntimeError("batched forecast unavailable")
+
+        monkeypatch.setattr("repro.stream.scheduler.forecast_cohort_arrays", boom)
+        monkeypatch.setattr("repro.stream.scheduler.dayprofile_forecast_cohort_arrays", boom)
+        scalar = run_scenario(name, seed=11)
         assert batched.survived and scalar.survived
         assert batched.to_json() == scalar.to_json()
         assert batched.faults == scalar.faults
 
     def test_faulted_keys_do_not_sink_the_cohort(self):
-        # nan-burst poisons a slice of samples; under cohort dispatch the
+        # nan-burst poisons a slice of samples; under cohort grading the
         # healthy keys must keep grading through the burst.
-        report = run_scenario("nan-burst", seed=11, dispatch="cohort")
+        report = run_scenario("nan-burst", seed=11)
         assert report.survived, report.render()
         assert report.faults.get("fault_nan_burst_samples", 0) > 0
         assert report.counters.get("samples_nonfinite", 0) > 0
         assert report.advisory_ticks > 0
-
-    def test_invalid_dispatch_rejected(self):
-        with pytest.raises(DataError):
-            run_scenario("nan-burst", seed=11, dispatch="simd")

@@ -20,6 +20,7 @@ from repro.planner import (
     rank_blueprints,
     score_blueprint,
 )
+from repro.selection.auto import SelectionOutcome
 
 SMALL, MEDIUM, LARGE = DEFAULT_CATALOG[0], DEFAULT_CATALOG[1], DEFAULT_CATALOG[2]
 
@@ -159,9 +160,12 @@ def _entry(workload, metric="cpu", level=20.0, threshold=26.0, outcome=True):
         key=SimpleNamespace(workload=workload, metric=metric),
         series=SimpleNamespace(frequency=Frequency.HOURLY),
         threshold=threshold,
-        outcome=SimpleNamespace(
+        outcome=SelectionOutcome(
             model=SimpleNamespace(forecast=forecast),
+            technique="stub",
+            test_rmse=0.0,
             best_spec=None,
+            seasonality=None,
             shock_calendar=None,
         )
         if outcome

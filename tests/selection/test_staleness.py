@@ -7,7 +7,7 @@ from repro.core import Frequency, TimeSeries
 from repro.exceptions import DataError
 from repro.models import SeasonalNaive
 from repro.selection import ModelMonitor, StalenessReason
-from repro.selection.staleness import WEEK_SECONDS
+from repro.selection.staleness import WEEK_SECONDS, staleness_verdict
 
 
 @pytest.fixture
@@ -80,6 +80,32 @@ class TestGrowthRule:
         verdict = monitor.check()
         assert verdict.stale
         assert verdict.reason is StalenessReason.DATA_GROWTH
+
+
+class TestRuleOrder:
+    """One precedence for every caller: expiry, then accuracy, then growth."""
+
+    @pytest.mark.parametrize(
+        "age, degraded, observed, reason",
+        [
+            (WEEK_SECONDS + 1, True, 10, StalenessReason.EXPIRED),
+            (WEEK_SECONDS, True, 10, StalenessReason.DEGRADED),
+            (0.0, False, 5, StalenessReason.DATA_GROWTH),
+            (0.0, False, 4, StalenessReason.FRESH),
+        ],
+        ids=["expiry-beats-trip", "trip-beats-growth", "growth", "fresh"],
+    )
+    def test_first_rule_wins(self, age, degraded, observed, reason):
+        verdict = staleness_verdict(
+            age_seconds=age,
+            degraded=degraded,
+            observed=observed,
+            train_size=10,
+            baseline_rmse=1.0,
+        )
+        assert verdict.reason is reason
+        assert verdict.stale is (reason is not StalenessReason.FRESH)
+        assert verdict.age_seconds == age
 
 
 class TestValidation:

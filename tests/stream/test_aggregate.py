@@ -23,7 +23,7 @@ def make(allowed_lateness=0.0, **kwargs):
 class TestClosing:
     def test_window_closes_when_watermark_passes_end(self):
         bus, agg = make()
-        bus.push_many([sample(i, value=float(i)) for i in range(4)])
+        bus.push_chunk([sample(i, value=float(i)) for i in range(4)])
         assert agg.advance() == []  # watermark sits at slot 3: hour not over
         bus.push(sample(4, value=4.0))
         closed = agg.advance()
@@ -35,14 +35,14 @@ class TestClosing:
 
     def test_lateness_budget_delays_closing(self):
         bus, agg = make(allowed_lateness=1800.0)  # two slots of grace
-        bus.push_many([sample(i) for i in range(5)])
+        bus.push_chunk([sample(i) for i in range(5)])
         assert agg.advance() == []  # watermark = 4 - 2 = slot 2 < end 4
         bus.push(sample(6))
         assert len(agg.advance()) == 1
 
     def test_late_sample_within_budget_lands_in_its_window(self):
         bus, agg = make(allowed_lateness=1800.0)
-        bus.push_many([sample(0, 1.0), sample(1, 1.0), sample(3, 1.0), sample(4, 1.0)])
+        bus.push_chunk([sample(0, 1.0), sample(1, 1.0), sample(3, 1.0), sample(4, 1.0)])
         agg.advance()
         bus.push(sample(2, 9.0))  # late, but window 0 still open
         bus.push(sample(6, 1.0))  # move the watermark past slot 4
@@ -51,15 +51,15 @@ class TestClosing:
 
     def test_windows_close_left_to_right(self):
         bus, agg = make()
-        bus.push_many([sample(i, float(i)) for i in range(13)])
+        bus.push_chunk([sample(i, float(i)) for i in range(13)])
         closed = agg.advance()
         assert [w.start for w in closed] == [0.0, 3600.0, 7200.0]
         assert agg.windows_closed("db1", "cpu") == 3
 
     def test_missing_window_emitted_as_nan(self):
         bus, agg = make()
-        bus.push_many([sample(i) for i in range(4)])  # hour 0
-        bus.push_many([sample(i) for i in range(8, 13)])  # hour 2 (hour 1 missed)
+        bus.push_chunk([sample(i) for i in range(4)])  # hour 0
+        bus.push_chunk([sample(i) for i in range(8, 13)])  # hour 2 (hour 1 missed)
         closed = agg.advance()
         assert len(closed) == 3
         assert math.isnan(closed[1].value)
@@ -68,7 +68,7 @@ class TestClosing:
 
     def test_partial_window_uses_present_slots(self):
         bus, agg = make()
-        bus.push_many([sample(0, 2.0), sample(2, 4.0), sample(4, 0.0), sample(5, 0.0)])
+        bus.push_chunk([sample(0, 2.0), sample(2, 4.0), sample(4, 0.0), sample(5, 0.0)])
         bus.push(sample(8, 0.0))
         closed = agg.advance()
         assert closed[0].value == pytest.approx(3.0)
@@ -84,7 +84,7 @@ class TestClosing:
         bus.push(sample(10, 10.0))
         assert agg.advance() == []  # nothing closable: anchor must not freeze
         assert bus.push(sample(6, 1000.0))  # earlier, in-budget, accepted
-        bus.push_many([sample(i, float(i)) for i in range(11, 17)])
+        bus.push_chunk([sample(i, float(i)) for i in range(11, 17)])
         closed = agg.advance()
         first, second = closed[0], closed[1]
         assert first.start == 6 * 900.0  # batch grid anchors at slot 6
@@ -98,13 +98,13 @@ class TestClosing:
         """A window's mean covers exactly its own span: any buffered slot
         below the window start is dropped as late, not folded in."""
         bus, agg = make(allowed_lateness=0.0)
-        bus.push_many([sample(i, 1.0) for i in range(5)])
+        bus.push_chunk([sample(i, 1.0) for i in range(5)])
         assert len(agg.advance()) == 1  # window [0, 4) closed, frontier at 4
         # Sneak a pre-frontier slot straight into the buffer, bypassing
         # push()'s frontier guard, to prove the close path also defends.
         bus.buffer("db1", "cpu").slots[2] = 999.0
         bus._buffered += 1
-        bus.push_many([sample(i, 1.0) for i in range(5, 9)])
+        bus.push_chunk([sample(i, 1.0) for i in range(5, 9)])
         closed = agg.advance()
         assert len(closed) == 1
         assert closed[0].n_samples == 4
@@ -116,14 +116,14 @@ class TestClosing:
 class TestFlush:
     def test_flush_closes_fully_covered_trailing_windows(self):
         bus, agg = make()
-        bus.push_many([sample(i, 1.0) for i in range(8)])  # exactly two hours
+        bus.push_chunk([sample(i, 1.0) for i in range(8)])  # exactly two hours
         assert len(agg.advance()) == 1  # watermark only covers hour 0
         flushed = agg.flush()
         assert [w.start for w in flushed] == [3600.0]
 
     def test_flush_discards_partial_tail_like_batch_aggregate(self):
         bus, agg = make()
-        bus.push_many([sample(i, 1.0) for i in range(10)])  # 2.5 hours
+        bus.push_chunk([sample(i, 1.0) for i in range(10)])  # 2.5 hours
         agg.flush()
         assert agg.windows_closed("db1", "cpu") == 2
         assert agg.counters["samples_discarded_at_flush"] == 2
@@ -138,7 +138,7 @@ class TestSeries:
     def test_series_rebuilds_hourly_trace(self):
         bus, agg = make()
         values = np.arange(12.0)
-        bus.push_many([sample(i, float(v)) for i, v in enumerate(values)])
+        bus.push_chunk([sample(i, float(v)) for i, v in enumerate(values)])
         agg.flush()
         series = agg.series("db1", "cpu")
         assert series.frequency is Frequency.HOURLY
@@ -148,7 +148,7 @@ class TestSeries:
 
     def test_series_anchored_at_first_sample_not_calendar(self):
         bus, agg = make()
-        bus.push_many([sample(i, 1.0) for i in range(2, 11)])  # starts mid-hour
+        bus.push_chunk([sample(i, 1.0) for i in range(2, 11)])  # starts mid-hour
         agg.flush()
         series = agg.series("db1", "cpu")
         assert series.start == 2 * 900.0
@@ -162,7 +162,7 @@ class TestSeries:
 
     def test_history_limit_trims_but_keeps_clock(self):
         bus, agg = make(history_limit=2)
-        bus.push_many([sample(i, float(i // 4)) for i in range(21)])
+        bus.push_chunk([sample(i, float(i // 4)) for i in range(21)])
         agg.advance()
         series = agg.series("db1", "cpu")
         assert len(series) == 2

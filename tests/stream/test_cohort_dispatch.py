@@ -1,10 +1,12 @@
-"""Cohort dispatch vs per-key grading: byte-identical advisories.
+"""Cohort grading vs scalar grading: byte-identical advisories.
 
 The scheduler's batched path exists purely as an execution strategy —
-every observable (advisory reprs, refit log, verdicts, dispatch-neutral
-counters) must match the scalar path exactly. These tests run the same
-window feed through both modes with real Holt–Winters fits so rolls and
-cohort grading genuinely execute, then diff the outputs.
+every observable (advisory reprs, refit log, verdicts, cohort-neutral
+counters) must match the scalar grader exactly. The scalar oracle is the
+scheduler's own fallback: with the batched forecast kernel made to
+raise, every cohort job grades alone through ``_grade_entry``. These
+tests run the same window feed both ways with real Holt–Winters fits so
+rolls and cohort grading genuinely execute, then diff the outputs.
 """
 
 from dataclasses import dataclass
@@ -61,16 +63,24 @@ def windows(values, start_hour=0, instance="db1", metric="cpu"):
     ]
 
 
-def make_scheduler(dispatch, min_observations=72, thresholds=None, **kwargs):
+def make_scheduler(min_observations=72, thresholds=None, **kwargs):
     planner = EstatePlanner(config=AutoConfig(technique="hes", n_jobs=1))
     sched = ForecastScheduler(
         planner,
         thresholds=thresholds if thresholds is not None else {"cpu": 90.0},
         min_observations=min_observations,
-        dispatch=dispatch,
         **kwargs,
     )
     return sched, planner
+
+
+def break_cohort_grading(monkeypatch):
+    """Make the batched forecast raise, so every cohort job grades alone."""
+
+    def boom(models, horizon, alpha=0.05):
+        raise RuntimeError("batched forecast unavailable")
+
+    monkeypatch.setattr("repro.stream.scheduler.forecast_cohort_arrays", boom)
 
 
 KEYS = ("db1", "db2", "db3")
@@ -109,70 +119,65 @@ class TestDispatchParity:
     def test_cohort_and_per_key_are_byte_identical(self, monkeypatch):
         ticks = {}
         counters = {}
-        for mode in ("cohort", "per-key"):
+        for mode in ("cohort", "scalar"):
             calls = []
-            monkeypatch.setattr("repro.service.estate.auto_select", _hw_select(calls))
-            sched, __ = make_scheduler(mode)
-            ticks[mode] = feed_ticks(sched)
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.service.estate.auto_select", _hw_select(calls))
+                if mode == "scalar":
+                    break_cohort_grading(patch)
+                sched, __ = make_scheduler()
+                ticks[mode] = feed_ticks(sched)
             counters[mode] = dict(sched.trace.counters)
             assert calls == [f"{inst}.cpu" for inst in KEYS]
-        assert ticks["cohort"] == ticks["per-key"]
-        # Rolls batch under both modes; grading cohorts add on top only
-        # under cohort dispatch.
+        assert ticks["cohort"] == ticks["scalar"]
+        # Rolls batch either way; grading cohorts add on top only when
+        # the batched forecast runs.
         assert counters["cohort"].get("stream_cohorts_dispatched", 0) > counters[
-            "per-key"
+            "scalar"
         ].get("stream_cohorts_dispatched", 0)
         assert counters["cohort"].get("stream_cohort_rows", 0) >= counters[
-            "per-key"
+            "scalar"
         ].get("stream_cohort_rows", 0) + len(KEYS)
-        # Dispatch-neutral counters agree exactly.
+        # Cohort-neutral counters agree exactly.
         for name in (
             "stream_rolls_applied",
             "stream_advisories_graded",
             "stream_refits_triggered",
             "stream_initial_selections",
         ):
-            assert counters["cohort"].get(name, 0) == counters["per-key"].get(name, 0)
+            assert counters["cohort"].get(name, 0) == counters["scalar"].get(name, 0)
         assert counters["cohort"].get("stream_rolls_applied", 0) > 0
 
     def test_broken_cohort_roll_falls_back_per_row(self, monkeypatch):
         # When the batched roll blows up, every member must still advance
         # through its own ``advance`` — identical output, nobody dropped.
         monkeypatch.setattr("repro.service.estate.auto_select", _hw_select([]))
-        reference_sched, __ = make_scheduler("cohort")
+        reference_sched, __ = make_scheduler()
         reference = feed_ticks(reference_sched)
 
         def boom(models, values):
             raise RuntimeError("cohort kernel unavailable")
 
         monkeypatch.setattr("repro.stream.scheduler.advance_cohort", boom)
-        sched, __ = make_scheduler("cohort")
+        sched, __ = make_scheduler()
         assert feed_ticks(sched) == reference
         assert sched.trace.counters.get("stream_rolls_applied", 0) == reference_sched.trace.counters.get("stream_rolls_applied", 0)
 
     def test_broken_cohort_grading_falls_back_per_job(self, monkeypatch):
         monkeypatch.setattr("repro.service.estate.auto_select", _hw_select([]))
-        reference_sched, __ = make_scheduler("cohort")
+        reference_sched, __ = make_scheduler()
         reference = feed_ticks(reference_sched)
-
-        def boom(models, horizon, alpha=0.05):
-            raise RuntimeError("batched forecast unavailable")
-
-        monkeypatch.setattr("repro.stream.scheduler.forecast_cohort_arrays", boom)
-        sched, __ = make_scheduler("cohort")
+        break_cohort_grading(monkeypatch)
+        sched, __ = make_scheduler()
         assert feed_ticks(sched) == reference
         assert sched.trace.counters.get("stream_advisories_graded", 0) == reference_sched.trace.counters.get("stream_advisories_graded", 0)
-
-    def test_invalid_dispatch_rejected(self):
-        with pytest.raises(DataError):
-            make_scheduler("vectorised")
 
 
 class TestAdvisoryMemo:
     def test_quiet_tick_reserves_memo(self, monkeypatch):
         calls = []
         monkeypatch.setattr("repro.service.estate.auto_select", _hw_select(calls))
-        sched, __ = make_scheduler("cohort")
+        sched, __ = make_scheduler()
         ticks = feed_ticks(sched)
         before = sched.trace.counters.get("stream_advisory_cache_hits", 0)
         quiet = sched.on_windows([])
@@ -183,7 +188,7 @@ class TestAdvisoryMemo:
     def test_new_window_invalidates_memo(self, monkeypatch):
         calls = []
         monkeypatch.setattr("repro.service.estate.auto_select", _hw_select(calls))
-        sched, __ = make_scheduler("cohort")
+        sched, __ = make_scheduler()
         feed_ticks(sched, n_ticks=2)
         sched.on_windows([])  # prime and confirm memo
         hits_before = sched.trace.counters.get("stream_advisory_cache_hits", 0)
@@ -201,7 +206,7 @@ class TestAdoptModel:
     def test_adopted_outcome_grades_without_selection(self, monkeypatch):
         calls = []
         monkeypatch.setattr("repro.service.estate.auto_select", _hw_select(calls))
-        sched, planner = make_scheduler("cohort")
+        sched, planner = make_scheduler()
         y = _values(9, 72)
         series = TimeSeries(y, frequency=Frequency.HOURLY, start=0.0, name="dbX.cpu")
         sched.seed_history("dbX", "cpu", series)
@@ -216,7 +221,7 @@ class TestAdoptModel:
         assert sched.trace.counters.get("stream_rolls_applied", 0) == 1
 
     def test_adopt_requires_history(self):
-        sched, __ = make_scheduler("cohort")
+        sched, __ = make_scheduler()
         outcome = _hw_select([])(
             TimeSeries(_values(3, 72), frequency=Frequency.HOURLY, start=0.0, name="x")
         )
@@ -256,7 +261,7 @@ class TestKeyHistoryCap:
         monkeypatch.setattr("repro.service.estate.auto_select", _flat_select)
         cap = 30
         sched, __ = make_scheduler(
-            "cohort", min_observations=24, thresholds={}, history_cap=cap
+            min_observations=24, thresholds={}, history_cap=cap
         )
         reference = []
         for i in range(200):
@@ -274,7 +279,7 @@ class TestKeyHistoryCap:
     def test_continuity_check_survives_compaction(self, monkeypatch):
         monkeypatch.setattr("repro.service.estate.auto_select", _flat_select)
         sched, __ = make_scheduler(
-            "cohort", min_observations=24, thresholds={}, history_cap=30
+            min_observations=24, thresholds={}, history_cap=30
         )
         sched.on_windows(windows([1.0] * 150))
         with pytest.raises(DataError):

@@ -206,7 +206,8 @@ class TestEquivalenceEdges:
         batch = [sample(i, float(i)) for i in range(9)]
         col, seq = make_pair()
         assert col.push_chunk(batch) == 9
-        seq.push_many(batch)
+        for s in batch:
+            seq.push(s)
         assert col.counters == seq.counters
         assert bus_state(col) == bus_state(seq)
 
@@ -281,7 +282,7 @@ class TestKeysCache:
 
     def test_keys_cache_invalidated_on_evict_and_readmit(self):
         bus = IngestBus()
-        bus.push_many([sample(0, instance="a"), sample(0, instance="b")])
+        bus.push_chunk([sample(0, instance="a"), sample(0, instance="b")])
         assert bus.keys() == [("a", "cpu"), ("b", "cpu")]
         assert bus.evict("a", "cpu") == 1
         assert bus.keys() == [("b", "cpu")]
@@ -291,7 +292,7 @@ class TestKeysCache:
 
     def test_repeated_keys_calls_do_not_resort(self, monkeypatch):
         bus = IngestBus()
-        bus.push_many([sample(0, instance=f"db{i}") for i in range(10)])
+        bus.push_chunk([sample(0, instance=f"db{i}") for i in range(10)])
         assert len(bus.keys()) == 10
         import builtins
 
@@ -303,8 +304,38 @@ class TestKeysCache:
 
 
 # ---------------------------------------------------------------------------
-# Fault-plane gating
+# Delivery faults at the column edge
 # ---------------------------------------------------------------------------
+def push_per_sample(bus, batch):
+    """The oracle: each row through ``on_sample``, then a sequential push."""
+    accepted = 0
+    for s in batch:
+        for delivered in bus.injector.on_sample("ingest.deliver", s):
+            accepted += bus.push(delivered)
+    return accepted
+
+
+def deliver_rules(*rules):
+    return tuple(FaultRule(site="ingest.deliver", **rule) for rule in rules)
+
+
+#: One plan per delivery fault kind, plus all of them at once.
+DELIVERY_PLANS = (
+    deliver_rules(dict(kind=FaultKind.DROP_SAMPLE, every=4)),
+    deliver_rules(dict(kind=FaultKind.DUPLICATE_SAMPLE, probability=0.3)),
+    deliver_rules(dict(kind=FaultKind.CORRUPT_VALUE, probability=0.2)),
+    deliver_rules(dict(kind=FaultKind.CLOCK_SKEW, probability=0.3, param=-1800.0)),
+    deliver_rules(dict(kind=FaultKind.NAN_BURST, every=9, param=5)),
+    deliver_rules(
+        dict(kind=FaultKind.NAN_BURST, probability=0.05, param=4),
+        dict(kind=FaultKind.DROP_SAMPLE, probability=0.1),
+        dict(kind=FaultKind.DUPLICATE_SAMPLE, probability=0.1),
+        dict(kind=FaultKind.CORRUPT_VALUE, probability=0.1),
+        dict(kind=FaultKind.CLOCK_SKEW, probability=0.1, param=2700.0),
+    ),
+)
+
+
 class TestFaultGating:
     def test_plan_without_deliver_rules_keeps_fast_path(self):
         plan = FaultPlan(
@@ -313,50 +344,56 @@ class TestFaultGating:
         )
         injector = FaultInjector(plan)
         assert injector.active
-        assert not injector.active_at("ingest.deliver")
         bus = IngestBus(injector=injector)
-        bus.push_many([sample(i) for i in range(6)])
+        bus.push_columns(*columns([sample(i) for i in range(6)]))
         bus.push_chunk([sample(i) for i in range(6, 12)])
-        # No delivery dispatch happened: no fault counters, no RNG draws.
+        # The hook handed the columns through untouched: no fault counters.
         assert injector.counters == {}
         assert bus.counters["samples_accepted"] == 12
 
     def test_deliver_rules_force_the_per_sample_path(self):
+        """``push_chunk`` under a delivery plan matches the per-sample oracle."""
+
         def build():
             plan = FaultPlan(
-                rules=(
-                    FaultRule(
-                        site="ingest.deliver",
-                        kind=FaultKind.DUPLICATE_SAMPLE,
-                        every=3,
-                    ),
-                ),
+                rules=deliver_rules(dict(kind=FaultKind.DUPLICATE_SAMPLE, every=3)),
                 seed=11,
             )
             return IngestBus(injector=FaultInjector(plan))
 
         batch = [sample(i, float(i)) for i in range(12)]
-        via_chunk, via_many = build(), build()
-        via_chunk.push_chunk(batch)
-        via_many.push_many(batch)
-        assert via_chunk.counters == via_many.counters
-        assert via_chunk.injector.counters == via_many.injector.counters
-        assert bus_state(via_chunk) == bus_state(via_many)
+        via_chunk, oracle = build(), build()
+        assert via_chunk.push_chunk(batch) == push_per_sample(oracle, batch)
+        assert via_chunk.counters == oracle.counters
+        assert via_chunk.injector.counters == oracle.injector.counters
+        assert bus_state(via_chunk) == bus_state(oracle)
         assert via_chunk.counters["samples_duplicate"] > 0
 
     def test_push_columns_reconstructs_samples_for_deliver_faults(self):
-        plan = FaultPlan(
-            rules=(FaultRule(site="ingest.deliver", kind=FaultKind.DROP_SAMPLE, every=4),),
-            seed=3,
-        )
-        columnar = IngestBus(injector=FaultInjector(plan))
-        sequential = IngestBus(injector=FaultInjector(plan))
-        batch = [sample(i, float(i)) for i in range(16)]
-        columnar.push_columns(*columns(batch))
-        sequential.push_many(batch)
-        assert columnar.counters == sequential.counters
-        assert bus_state(columnar) == bus_state(sequential)
-        assert columnar.injector.counters == sequential.injector.counters
+        """``push_columns`` under a delivery plan matches the per-sample
+        oracle batch after batch: counters, buffers and closed windows
+        (compared by repr, so empty NaN-valued windows match)."""
+        for rules in DELIVERY_PLANS:
+            plan = FaultPlan(rules=rules, seed=3)
+            columnar = IngestBus(allowed_lateness=1800.0, injector=FaultInjector(plan))
+            oracle = IngestBus(allowed_lateness=1800.0, injector=FaultInjector(plan))
+            agg_columnar, agg_oracle = WindowAggregator(columnar), WindowAggregator(oracle)
+            rng = np.random.default_rng(7)
+            for lo in range(0, 48, 6):
+                batch = [
+                    sample(slot, float(rng.normal(50.0, 5.0)), instance=instance)
+                    for slot in range(lo, lo + 6)
+                    for instance in ("db1", "db2", "db3")
+                ]
+                rng.shuffle(batch)
+                accepted = columnar.push_columns(*columns(batch))
+                assert accepted == push_per_sample(oracle, batch), rules
+                assert repr(agg_columnar.advance()) == repr(agg_oracle.advance()), rules
+                assert columnar.counters == oracle.counters, rules
+                assert columnar.injector.counters == oracle.injector.counters, rules
+                assert bus_state(columnar) == bus_state(oracle), rules
+            assert repr(agg_columnar.flush()) == repr(agg_oracle.flush()), rules
+            assert columnar.injector.counters.get("faults_injected", 0) > 0, rules
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +414,8 @@ class TestRuntimeParity:
     def _run(self, force_per_sample):
         runtime = StreamRuntime(config=StreamConfig(seed=9, jitter_seconds=600.0))
         if force_per_sample:
-            runtime.bus.push_chunk = runtime.bus.push_many
+            bus = runtime.bus
+            bus.push_chunk = lambda chunk: sum(1 for s in chunk if bus.push(s))
         runtime.run(self._traffic())
         runtime.finish()
         return runtime

@@ -1,8 +1,9 @@
 """Day-profile models on the streaming plane.
 
-Two properties: (1) cohort dispatch of day-profile models is an
+Two properties: (1) cohort grading of day-profile models is an
 execution strategy only — advisories, refits and verdicts are
-byte-identical to per-key grading; (2) the opt-in day-profile rung of
+byte-identical to the scalar grader each job falls back to when the
+batched forecast raises; (2) the opt-in day-profile rung of
 the degradation ladder serves shape-aware advisories when selection is
 down, and falls through to seasonal-naive on short history."""
 
@@ -26,7 +27,7 @@ def _dayprofile_select(calls):
         calls.append(series.name)
         model = DayProfile(n_clusters=3, period=PERIOD, seed=0).fit(series)
         # Baseline RMSE well above the innovation noise so the staleness
-        # monitor stays quiet: these tests isolate dispatch, not refits.
+        # monitor stays quiet: these tests isolate grading, not refits.
         return SelectionOutcome(
             model=model,
             technique="dayprofile",
@@ -73,15 +74,10 @@ def windows(values, start_hour=0, instance="db1", metric="cpu"):
     ]
 
 
-def make_scheduler(dispatch, **kwargs):
+def make_scheduler(**kwargs):
     kwargs.setdefault("min_observations", 72)
     planner = EstatePlanner(config=AutoConfig(technique="hes", n_jobs=1))
-    sched = ForecastScheduler(
-        planner,
-        thresholds={"cpu": 90.0},
-        dispatch=dispatch,
-        **kwargs,
-    )
+    sched = ForecastScheduler(planner, thresholds={"cpu": 90.0}, **kwargs)
     return sched, planner
 
 
@@ -111,40 +107,48 @@ class TestDayProfileDispatchParity:
     def test_cohort_and_per_key_are_byte_identical(self, monkeypatch):
         ticks = {}
         counters = {}
-        for mode in ("cohort", "per-key"):
+        def boom(models, horizon, alpha=0.05):
+            raise RuntimeError("batched forecast unavailable")
+
+        for mode in ("cohort", "scalar"):
             calls = []
-            monkeypatch.setattr(
-                "repro.service.estate.auto_select", _dayprofile_select(calls)
-            )
-            sched, __ = make_scheduler(mode)
-            ticks[mode] = feed_ticks(sched)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    "repro.service.estate.auto_select", _dayprofile_select(calls)
+                )
+                if mode == "scalar":
+                    patch.setattr(
+                        "repro.stream.scheduler.dayprofile_forecast_cohort_arrays", boom
+                    )
+                sched, __ = make_scheduler()
+                ticks[mode] = feed_ticks(sched)
             counters[mode] = dict(sched.trace.counters)
             assert calls == [f"{inst}.cpu" for inst in KEYS]
-        assert ticks["cohort"] == ticks["per-key"]
+        assert ticks["cohort"] == ticks["scalar"]
         # Same-spec day-profile models form one grading cohort per tick.
         assert counters["cohort"].get("stream_cohorts_dispatched", 0) > counters[
-            "per-key"
+            "scalar"
         ].get("stream_cohorts_dispatched", 0)
         for name in (
             "stream_rolls_applied",
             "stream_advisories_graded",
             "stream_refits_triggered",
         ):
-            assert counters["cohort"].get(name, 0) == counters["per-key"].get(name, 0)
+            assert counters["cohort"].get(name, 0) == counters["scalar"].get(name, 0)
         assert counters["cohort"].get("stream_rolls_applied", 0) == len(KEYS) * 6
 
     def test_broken_cohort_roll_falls_back_per_row(self, monkeypatch):
         monkeypatch.setattr(
             "repro.service.estate.auto_select", _dayprofile_select([])
         )
-        reference_sched, __ = make_scheduler("cohort")
+        reference_sched, __ = make_scheduler()
         reference = feed_ticks(reference_sched)
 
         def boom(models, values):
             raise RuntimeError("cohort kernel unavailable")
 
         monkeypatch.setattr("repro.stream.scheduler.dayprofile_advance_cohort", boom)
-        sched, __ = make_scheduler("cohort")
+        sched, __ = make_scheduler()
         assert feed_ticks(sched) == reference
 
 
@@ -156,7 +160,6 @@ def _broken_executor():
 class TestDegradedDayProfileRung:
     def _run(self, dayprofile, seed_hours):
         sched, __ = make_scheduler(
-            "cohort",
             dayprofile=dayprofile,
             executor=_broken_executor(),
             min_observations=min(72, seed_hours),
@@ -190,7 +193,7 @@ class TestDegradedDayProfileRung:
         monkeypatch.setattr(
             "repro.service.estate.auto_select", _dayprofile_select([])
         )
-        sched, __ = make_scheduler("cohort", dayprofile=True)
+        sched, __ = make_scheduler(dayprofile=True)
         # Selection is down for the seeding tick: day-profile rung serves.
         sched.executor = _broken_executor()
         tick = sched.on_windows(windows(_values(0, 96), instance="db1"))

@@ -1,7 +1,6 @@
 """Tests for the CUSUM drift detector on roll innovations."""
 
 import numpy as np
-import pytest
 
 from repro.stream import CusumDetector
 

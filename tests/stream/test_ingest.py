@@ -80,13 +80,13 @@ class TestPush:
 class TestBackpressure:
     def test_push_rejected_at_capacity(self):
         bus = IngestBus(capacity=3)
-        assert bus.push_many([sample(i) for i in range(5)]) == 3
+        assert bus.push_chunk([sample(i) for i in range(5)]) == 3
         assert bus.counters["samples_rejected_backpressure"] == 2
         assert bus.buffered == 3
 
     def test_consume_releases_capacity(self):
         bus = IngestBus(capacity=2)
-        bus.push_many([sample(0), sample(1), sample(2)])
+        bus.push_chunk([sample(0), sample(1), sample(2)])
         assert bus.buffered == 2
         bus.consume(("db1", "cpu"), upto_slot=2)
         assert bus.buffered == 0
@@ -123,14 +123,14 @@ class TestWatermarks:
 class TestLateDrops:
     def test_sample_below_frontier_dropped(self):
         bus = IngestBus()
-        bus.push_many([sample(0), sample(1), sample(2), sample(3)])
+        bus.push_chunk([sample(0), sample(1), sample(2), sample(3)])
         bus.consume(("db1", "cpu"), upto_slot=4)  # first hour finalised
         assert bus.push(sample(2, value=7.0)) is False
         assert bus.counters["samples_late_dropped"] == 1
 
     def test_consume_takes_only_below_limit(self):
         bus = IngestBus()
-        bus.push_many([sample(i) for i in range(6)])
+        bus.push_chunk([sample(i) for i in range(6)])
         taken = bus.consume(("db1", "cpu"), upto_slot=4)
         assert sorted(taken) == [0, 1, 2, 3]
         assert sorted(bus.buffer("db1", "cpu").slots) == [4, 5]

@@ -6,7 +6,7 @@ the acceptance criteria here are about the lifecycle (when selection
 runs, when the cache spares it), not about model quality.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from repro.exceptions import DataError
 from repro.models.base import FittedModel
 from repro.selection import AutoConfig
 from repro.selection.auto import SelectionOutcome
-from repro.selection.staleness import StalenessReason
+from repro.selection.staleness import WEEK_SECONDS, StalenessReason
 from repro.service import EstatePlanner, WorkloadStatus
 from repro.service.thresholds import BreachSeverity
 from repro.stream import ClosedWindow, ForecastScheduler, ManualClock
@@ -37,10 +37,24 @@ class _FlatModel(FittedModel):
         return "flat"
 
 
-def _stub_select(calls):
+@dataclass
+class _RollingFlatModel(_FlatModel):
+    """A flat model that rolls forward with zero innovations (no drift trip)."""
+
+    def advance(self, values):
+        train = TimeSeries(
+            np.concatenate([self.train.values, values]),
+            self.train.frequency,
+            start=self.train.start,
+            name=self.train.name,
+        )
+        return replace(self, train=train), np.zeros(len(values))
+
+
+def _stub_select(calls, model_cls=_FlatModel):
     def fake_auto_select(series, config=None, executor=None, **kwargs):
         calls.append(series.name)
-        model = _FlatModel(
+        model = model_cls(
             train=series, residuals=np.zeros(len(series)), sigma2=1.0, n_params=1
         )
         return SelectionOutcome(
@@ -157,6 +171,23 @@ class TestStalenessRefit:
         # 50% growth over the 24-observation training window.
         tick = sched.on_windows(windows([50.0] * 12, start_hour=24))
         assert [e.reason for e in tick.refits] == [StalenessReason.DATA_GROWTH.value]
+        assert len(calls) == 2
+
+    def test_rolled_model_expires_after_a_week(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "repro.service.estate.auto_select", _stub_select(calls, _RollingFlatModel)
+        )
+        sched, __ = scheduler()
+        sched.on_windows(windows([50.0] * 24))
+        tick = sched.on_windows(windows([50.0], start_hour=24))
+        assert tick.refits == []
+        assert sched.trace.counters["stream_rolls_applied"] == 1
+        # The model was fitted through hour 23; a week later it expires.
+        sched.clock.advance_to(23 * HOUR + WEEK_SECONDS + HOUR)
+        tick = sched.on_windows(windows([50.0], start_hour=25))
+        assert sched.trace.counters["stream_rolls_applied"] == 2
+        assert [e.reason for e in tick.refits] == [StalenessReason.EXPIRED.value]
         assert len(calls) == 2
 
 

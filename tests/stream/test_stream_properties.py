@@ -68,7 +68,7 @@ class TestOrderInvariance:
 
         bus = IngestBus(allowed_lateness=math.inf)
         agg = WindowAggregator(bus)
-        bus.push_many(delivered)
+        bus.push_chunk(delivered)
         assert agg.advance() == []  # infinite lateness: nothing closes early
         agg.flush()
         assert_series_equal(agg.series("db", "m"), batch_hourly(samples))
@@ -93,7 +93,7 @@ class TestOrderInvariance:
         lo = 0
         while lo < len(samples):
             hi = lo + int(rng.integers(1, 8))
-            bus.push_many(samples[lo:hi])
+            bus.push_chunk(samples[lo:hi])
             windows.extend(agg.advance())  # interleaved mid-stream closing
             lo = hi
         windows.extend(agg.flush())
