@@ -13,9 +13,11 @@ portmanteau test is provided for residual whiteness checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy import stats as _scipy_stats
 
 from ..exceptions import DataError
@@ -28,7 +30,21 @@ __all__ = [
     "LjungBoxResult",
     "Correlogram",
     "correlogram",
+    "band_z",
 ]
+
+
+@functools.lru_cache(maxsize=64)
+def band_z(alpha: float) -> float:
+    """The two-sided Gaussian band multiplier ``z_{1-alpha/2}``.
+
+    Bit-identical to ``scipy.stats.norm.ppf(1 - alpha / 2)``, which
+    computes ``ndtri(q) * 1.0 + 0.0`` behind a generic-distribution
+    wrapper many times costlier than the special function itself. Every
+    forecast band, breach grade and correlogram confidence line asks for
+    it, so the handful of distinct ``alpha`` values are memoised.
+    """
+    return float(special.ndtri(1.0 - alpha / 2.0))
 
 
 def _values(series) -> np.ndarray:
@@ -182,7 +198,7 @@ def correlogram(series, nlags: int = 30, alpha: float = 0.05) -> Correlogram:
     x = _values(series)
     acf_vals = acf(x, nlags=nlags)
     pacf_vals = pacf(x, nlags=nlags)
-    z = float(_scipy_stats.norm.ppf(1.0 - alpha / 2.0))
+    z = band_z(alpha)
     return Correlogram(
         acf_values=acf_vals,
         pacf_values=pacf_vals,

@@ -154,6 +154,31 @@ def _stability_violation(spec: _Spec, params: np.ndarray) -> float:
     return worst
 
 
+@dataclass(eq=False)
+class _LagPolynomials:
+    """The expanded lag polynomials of one frozen coefficient set.
+
+    ``ar_full``/``ma_full`` are the seasonal-expanded ARMA polynomials and
+    ``full_ar`` folds the differencing factors in. ``psi`` is the longest
+    ψ-weight vector computed so far: the recursion is prefix-stable, so a
+    shorter horizon slices it bit-identically and only a longer one pays
+    the Python recursion again.
+    """
+
+    coeffs: np.ndarray
+    ar_full: np.ndarray
+    ma_full: np.ndarray
+    full_ar: np.ndarray
+    psi: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def psi_weights(self, n: int) -> np.ndarray:
+        psi = self.psi
+        if psi.size < n:
+            psi = psi_weights(self.full_ar, self.ma_full, n)
+            self.psi = psi
+        return psi[:n]
+
+
 def _css_residuals(w: np.ndarray, spec: _Spec, params: np.ndarray) -> np.ndarray:
     ar_full, ma_full = _polys(spec, params)
     return signal.lfilter(ar_full, ma_full, w)
@@ -248,6 +273,11 @@ class FittedArima(FittedModel):
     # attribute, not a dataclass field): True when the optimiser started
     # from caller-supplied parameters instead of Hannan–Rissanen.
     warm_started = False
+    # Lag polynomials of ``coeffs``, built on first use and carried
+    # through ``advance`` (coefficients are frozen between refits).
+    # Unannotated for the same reason: it stays out of repr and equality,
+    # and a refit's fresh instance starts without one.
+    _lags = None
 
     def label(self) -> str:
         if self.seasonal.is_null:
@@ -258,19 +288,27 @@ class FittedArima(FittedModel):
     def _spec(self) -> _Spec:
         return _Spec(self.order, self.seasonal, self.intercept != 0.0)
 
+    def _lag_polynomials(self) -> _LagPolynomials:
+        """The lag polynomials of ``coeffs``, computed once per coefficient set."""
+        lags = self._lags
+        if lags is None or lags.coeffs is not self.coeffs:
+            ar_full, ma_full = _polys(self._spec(), self.coeffs)
+            diff = difference_poly(self.order.d, self.seasonal.D, self.seasonal.F)
+            lags = _LagPolynomials(self.coeffs, ar_full, ma_full, polymul(ar_full, diff))
+            self._lags = lags
+        return lags
+
     def _forecast_adjusted(self, z: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """Forecast the regression-adjusted series ``z`` (mean, std)."""
         if horizon <= 0:
             raise ModelError(f"horizon must be positive, got {horizon}")
-        spec = self._spec()
-        ar_full, ma_full = _polys(spec, self.coeffs)
-        diff = difference_poly(self.order.d, self.seasonal.D, self.seasonal.F)
-        full_ar = polymul(ar_full, diff)
+        lags = self._lag_polynomials()
+        ar_full, ma_full, full_ar = lags.ar_full, lags.ma_full, lags.full_ar
         # Constant term on the undifferenced scale: φ(1)Φ(1)·μ.
         c_star = float(np.sum(ar_full)) * self.intercept
 
         w = difference(z, self.order.d, self.seasonal.D, self.seasonal.F)
-        e = _css_residuals(w - self.intercept, spec, self.coeffs)
+        e = signal.lfilter(ar_full, ma_full, w - self.intercept)
 
         L = full_ar.size - 1
         history = z[-L:] if L else np.empty(0)
@@ -281,7 +319,7 @@ class FittedArima(FittedModel):
         # shocks contribute while j > h, i.e. while they are still visible).
         mean = kernels.arma_forecast(full_ar, ma_full, history, recent_e, c_star, horizon)
 
-        psi = psi_weights(full_ar, ma_full, horizon)
+        psi = lags.psi_weights(horizon)
         std = np.sqrt(np.maximum(self.sigma2 * np.cumsum(psi**2), 0.0))
         return mean, std
 
@@ -353,6 +391,7 @@ class FittedArima(FittedModel):
             train=self.train.append(extension),
             residuals=np.concatenate([self.residuals, innovations]),
         )
+        rolled._lags = self._lags
         return rolled, innovations
 
     def _bootstrap_band(
@@ -366,12 +405,9 @@ class FittedArima(FittedModel):
         """
         if n_paths < 50:
             raise ModelError("bootstrap intervals need at least 50 paths")
-        spec = self._spec()
-        ar_full, ma_full = _polys(spec, self.coeffs)
-        diff = difference_poly(self.order.d, self.seasonal.D, self.seasonal.F)
-        psi = psi_weights(polymul(ar_full, diff), ma_full, horizon)
+        psi = self._lag_polynomials().psi_weights(horizon)
 
-        skip = min(_warmup(spec), len(self.train) // 3)
+        skip = min(_warmup(self._spec()), len(self.train) // 3)
         pool = self.residuals[skip:]
         pool = pool[np.isfinite(pool)]
         if pool.size < 10:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.stats import band_z
 from ..core.timeseries import TimeSeries
 from ..exceptions import DataError, ModelError
 
@@ -126,11 +127,9 @@ class FittedModel(abc.ABC):
     def _interval(
         self, mean: np.ndarray, std: np.ndarray, alpha: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        from scipy import stats
-
         if np.any(std < 0):
             raise ModelError("negative forecast standard deviation")
-        z = float(stats.norm.ppf(1.0 - alpha / 2.0))
+        z = band_z(alpha)
         return mean - z * std, mean + z * std
 
     def make_forecast(

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..core.stats import band_z
 from ..core.timeseries import TimeSeries
 from ..exceptions import ModelError
 from .base import FittedModel, Forecast, ForecastModel, check_series
@@ -407,8 +408,6 @@ def forecast_cohort_arrays(
     building per-key Forecast/TimeSeries objects. The caller owns
     timestamps (each row starts one step after its model's training end).
     """
-    from scipy import stats
-
     if horizon <= 0:
         raise ModelError(f"horizon must be positive, got {horizon}")
     spec = _cohort_spec(models)
@@ -426,5 +425,5 @@ def forecast_cohort_arrays(
     stds = np.stack([model.band_stds for model in models])
     mean = cent[rows, labels_per_pos, slots]
     std = stds[rows, labels_per_pos, slots] * np.sqrt(steps.astype(float))
-    z = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    z = band_z(alpha)
     return mean, mean - z * std, mean + z * std

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
+from ..core.stats import band_z
 from ..core.timeseries import TimeSeries
 from ..exceptions import ConvergenceError, ModelError
 from . import kernels
@@ -601,5 +602,5 @@ def forecast_cohort_arrays(
     std = _cohort_forecast_std(models, spec, horizon, damp)
     if np.any(std < 0):
         raise ModelError("negative forecast standard deviation")
-    z = float(stats.norm.ppf(1.0 - alpha / 2.0))
+    z = band_z(alpha)
     return mean, mean - z * std, mean + z * std

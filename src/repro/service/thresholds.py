@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy import special
 
+from ..core.stats import band_z
 from ..exceptions import DataError
 from ..models.base import Forecast
 
@@ -106,15 +109,53 @@ def predict_breach(forecast: Forecast, threshold: float) -> BreachPrediction:
     interval (``lower == mean == upper``, e.g. a naive model with zero
     residual variance) is legitimate: all three bands then cross at the
     same step and the verdict is simply CERTAIN.
+
+    This is the one-row case of :func:`predict_breach_arrays`.
     """
-    return predict_breach_arrays(
-        forecast.mean.values,
-        forecast.lower.values,
-        forecast.upper.values,
-        forecast.mean.timestamps,
-        threshold,
+    mean = forecast.mean
+    (advisory,) = predict_breach_arrays(
+        mean.values[None, :],
+        forecast.lower.values[None, :],
+        forecast.upper.values[None, :],
+        [mean.start],
+        float(mean.frequency.seconds),
+        [threshold],
         alpha=forecast.alpha,
     )
+    return advisory
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DataError("alpha must be in (0, 1)")
+
+
+def _breach_probabilities(
+    mean: np.ndarray, upper: np.ndarray, thresholds: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Per-row P(any step exceeds its row's threshold) over a ``(B, H)`` block.
+
+    Each step's predictive sigma is recovered from the half-width
+    ``upper - mean = z * sigma`` and its exceedance is the normal tail
+    ``ndtr(-margin)``. A step where the mean or upper band is not finite
+    contributes a survival factor of exactly 1.0; because numpy's
+    multiply-reduce runs in order along the row (add, unlike multiply,
+    sums pairwise), each row's product is bit-identical to the product
+    over that row's finite steps alone. A row with no finite step is
+    ``NaN``.
+    """
+    finite = np.isfinite(mean) & np.isfinite(upper)
+    threshold = thresholds[:, None]
+    steps = np.where(finite & (mean >= threshold), 1.0, 0.0)
+    half = np.subtract(upper, mean, out=np.zeros_like(mean), where=finite)
+    widened = half > 0.0
+    if widened.any():
+        threshold = np.broadcast_to(threshold, mean.shape)
+        margin = (threshold[widened] - mean[widened]) * (band_z(alpha) / half[widened])
+        steps[widened] = special.ndtr(-margin)
+    probability = 1.0 - np.prod(1.0 - steps, axis=1)
+    probability[~finite.any(axis=1)] = np.nan
+    return probability
 
 
 def breach_probability_arrays(
@@ -132,90 +173,107 @@ def breach_probability_arrays(
     breach probability is a normal tail. Steps combine as independent
     exceedances, ``1 - prod(1 - p_t)`` — the horizon-level number the
     provisioning planner's scorer minimises and :func:`predict_breach`
-    reports alongside the first-crossing severity (one implementation,
-    both consumers).
+    reports alongside the first-crossing severity. It is the one-row case
+    of the block computation :func:`predict_breach_arrays` runs, so both
+    consumers share one implementation.
 
     Degenerate inputs grade safe: no finite step yields ``NaN``; a
     zero-width band (zero residual variance) is a point mass, so each
     step contributes exactly 0 or 1.
     """
-    from scipy import stats
-
     if not np.isfinite(threshold):
         raise DataError("threshold must be finite")
-    if not 0.0 < alpha < 1.0:
-        raise DataError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     mean = np.asarray(mean, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    finite = np.isfinite(mean) & np.isfinite(upper)
-    if not finite.any():
-        return float("nan")
-    centre = mean[finite]
-    half = upper[finite] - centre
-    z = float(stats.norm.ppf(1.0 - alpha / 2.0))
-    steps = np.where(centre >= threshold, 1.0, 0.0)
-    widened = half > 0.0
-    if widened.any():
-        margin = (threshold - centre[widened]) * (z / half[widened])
-        steps[widened] = stats.norm.sf(margin)
-    return float(1.0 - np.prod(1.0 - steps))
+    probability = _breach_probabilities(
+        mean[None, :], upper[None, :], np.array([threshold], dtype=float), alpha
+    )
+    return float(probability[0])
+
+
+def _first_crossings(
+    values: np.ndarray, thresholds: np.ndarray
+) -> tuple[list[bool], list[int]]:
+    """Per row: whether any step reaches the threshold, and the first such step."""
+    hits = values >= thresholds[:, None]
+    return hits.any(axis=1).tolist(), hits.argmax(axis=1).tolist()
 
 
 def predict_breach_arrays(
     mean: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    timestamps: np.ndarray,
-    threshold: float,
+    starts: Sequence[float],
+    step: float,
+    thresholds: Sequence[float],
     alpha: float = 0.05,
-) -> BreachPrediction:
-    """Array-level core of :func:`predict_breach`.
+) -> list[BreachPrediction]:
+    """Grade a ``(B, H)`` block of forecast bands, one verdict per row.
 
-    The cohort-batched scheduler path grades many keys from one
-    ``(batch, horizon)`` forecast block without materialising a
-    :class:`~repro.models.base.Forecast` per key; it calls this directly
-    on each row. ``predict_breach`` delegates here, so both paths share
-    one implementation and produce bit-identical verdicts.
+    Row ``i`` is graded exactly as :func:`predict_breach` grades one
+    forecast whose bands are ``mean[i]``, ``lower[i]``, ``upper[i]``,
+    whose first step falls at ``starts[i]`` and whose steps are ``step``
+    seconds apart, against ``thresholds[i]`` (per row: a cohort can mix
+    metrics). The cohort scheduler grades a whole batched forecast
+    block in this one array pass instead of one call per key;
+    :func:`predict_breach` is its one-row case, so both paths share one
+    implementation and give bit-identical verdicts.
+
+    First crossings come from ``argmax`` over the three band masks,
+    headroom from a row max over finite steps and P(breach) from one
+    normal-tail call over the whole block. Every field of the returned
+    verdicts is a plain Python ``float``/``int`` (or the threshold object
+    as passed), never a numpy scalar.
     """
-    if not np.isfinite(threshold):
+    mean = np.asarray(mean, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    thresholds = list(thresholds)
+    limits = np.asarray(thresholds, dtype=float)
+    if not np.isfinite(limits).all():
         raise DataError("threshold must be finite")
-
-    def first_crossing(values: np.ndarray) -> int | None:
-        hits = np.flatnonzero(values >= threshold)
-        return int(hits[0]) if hits.size else None
-
-    finite_mean = mean[np.isfinite(mean)]
-    if finite_mean.size == 0:
-        return BreachPrediction(
-            severity=BreachSeverity.NONE,
-            first_breach_step=None,
-            first_breach_timestamp=None,
-            threshold=threshold,
-            headroom=float("nan"),
-            probability=float("nan"),
-        )
-    headroom = float(threshold - finite_mean.max())
-    probability = breach_probability_arrays(mean, upper, threshold, alpha=alpha)
-    for values, severity in (
-        (lower, BreachSeverity.CERTAIN),
-        (mean, BreachSeverity.LIKELY),
-        (upper, BreachSeverity.POSSIBLE),
-    ):
-        idx = first_crossing(values)
-        if idx is not None:
-            return BreachPrediction(
-                severity=severity,
-                first_breach_step=idx + 1,
-                first_breach_timestamp=float(timestamps[idx]),
-                threshold=threshold,
-                headroom=headroom,
-                probability=probability,
-            )
-    return BreachPrediction(
-        severity=BreachSeverity.NONE,
-        first_breach_step=None,
-        first_breach_timestamp=None,
-        threshold=threshold,
-        headroom=headroom,
-        probability=probability,
+    _check_alpha(alpha)
+    rows, horizon = mean.shape
+    if not (lower.shape == upper.shape == mean.shape and len(starts) == len(limits) == rows):
+        raise DataError("band block, starts and thresholds must agree on rows and horizon")
+    finite = np.isfinite(mean)
+    # A row without a finite point forecast grades NONE with NaN headroom.
+    scored = finite.any(axis=1)
+    peak = np.max(np.where(finite, mean, -np.inf), axis=1, initial=-np.inf)
+    headroom = np.where(scored, limits - peak, np.nan).tolist()
+    # A max over ±0 ties may pick either zero, differently in a block
+    # than in one row; the sign survives the subtraction only from a
+    # -0.0 limit, so those rows take their one-row max.
+    for i in np.flatnonzero((peak == 0.0) & (limits == 0.0)).tolist():
+        headroom[i] = float(limits[i] - mean[i][finite[i]].max())
+    probability = _breach_probabilities(mean, upper, limits, alpha).tolist()
+    bands = (
+        [
+            (BreachSeverity.CERTAIN, *_first_crossings(lower, limits)),
+            (BreachSeverity.LIKELY, *_first_crossings(mean, limits)),
+            (BreachSeverity.POSSIBLE, *_first_crossings(upper, limits)),
+        ]
+        if horizon
+        else []
     )
+    advisories: list[BreachPrediction] = []
+    for i, (threshold, graded) in enumerate(zip(thresholds, scored.tolist())):
+        severity, idx, at = BreachSeverity.NONE, None, None
+        if graded:
+            for band, crossed, first in bands:
+                if crossed[i]:
+                    severity, idx = band, first[i]
+                    at = float(starts[i] + idx * step)
+                    break
+        advisories.append(
+            BreachPrediction(
+                severity=severity,
+                first_breach_step=None if idx is None else idx + 1,
+                first_breach_timestamp=at,
+                threshold=threshold,
+                headroom=headroom[i],
+                probability=probability[i],
+            )
+        )
+    return advisories

@@ -26,12 +26,15 @@ finalised hourly window is one heartbeat:
    *from the current watermark onwards* (the part of the horizon still in
    the future), producing the advisories the alerting layer debounces.
    Grading thinks in **cohorts**: keys whose winning models share an
-   exponential-smoothing spec and forecast window are graded in one
-   batched ``(batch, horizon)`` kernel call
-   (:func:`repro.models.ets.forecast_cohort_arrays` →
-   :func:`repro.service.thresholds.predict_breach_arrays`), bit-identical
+   exponential-smoothing or day-profile spec and forecast window are
+   forecast in one batched ``(batch, horizon)`` kernel call
+   (:func:`repro.models.ets.forecast_cohort_arrays`, or the day-profile
+   twin) and the whole block is graded in one array pass
+   (:func:`repro.service.thresholds.predict_breach_arrays`), bit-identical
    to grading each key alone. Families that cannot join a cohort
-   (ARIMA/SARIMA, TBATS, shock-regressor fits) grade one key at a time.
+   (ARIMA/SARIMA, TBATS, shock-regressor fits) grade one key at a time
+   through :func:`~repro.service.thresholds.predict_breach`, the block
+   grader's one-row case.
    An advisory memo per key skips the forecast entirely while (model
    state, elapsed offset, threshold) are unchanged.
 
@@ -830,20 +833,23 @@ class ForecastScheduler:
         """Grade deferred keys in one batched kernel call per cohort.
 
         A cohort is every deferred key sharing (model family, spec, base
-        horizon, elapsed offset): one ``(batch, horizon)`` forecast
-        block, clipped, sliced to the still-future part and graded row
-        by row through :func:`predict_breach_arrays` — bit-identical to
-        the scalar path. Smoothing cohorts go through the ETS kernel,
-        day-profile cohorts through the centroid-gather kernel. If the
-        batched call fails, the cohort's rows are graded one by one so a
+        horizon, elapsed offset, window frequency): one ``(batch,
+        horizon)`` forecast block, clipped, sliced to the still-future
+        part and graded in one array pass through
+        :func:`predict_breach_arrays` — bit-identical to the scalar
+        path. Smoothing cohorts go through the ETS kernel, day-profile
+        cohorts through the centroid-gather kernel. If the batched
+        forecast fails, the cohort's rows are graded one by one so a
         sick key cannot silence its peers.
         """
         groups: dict[tuple, list[_CohortJob]] = {}
         for job in deferred:
+            model = job.model
             groups.setdefault(
-                (type(job.model), job.model.spec, job.base_horizon, job.elapsed), []
+                (type(model), model.spec, job.base_horizon, job.elapsed, model.train.frequency),
+                [],
             ).append(job)
-        for (mtype, __, base_horizon, elapsed), jobs in groups.items():
+        for (mtype, __, base_horizon, elapsed, frequency), jobs in groups.items():
             batched = (
                 dayprofile_forecast_cohort_arrays
                 if mtype is FittedDayProfile
@@ -868,16 +874,16 @@ class ForecastScheduler:
                 mean = mean[:, elapsed:]
                 lower = lower[:, elapsed:]
                 upper = upper[:, elapsed:]
-            horizon = mean.shape[1]
-            steps = np.arange(horizon)
-            for i, job in enumerate(jobs):
-                train = job.model.train
-                sec = train.frequency.seconds
-                start = train.end + sec + elapsed * sec
-                timestamps = start + steps * float(sec)
-                advisory = predict_breach_arrays(
-                    mean[i], lower[i], upper[i], timestamps, job.entry.threshold
-                )
+            sec = frequency.seconds
+            graded = predict_breach_arrays(
+                mean,
+                lower,
+                upper,
+                [job.model.train.end + sec + elapsed * sec for job in jobs],
+                float(sec),
+                [job.entry.threshold for job in jobs],
+            )
+            for job, advisory in zip(jobs, graded):
                 self._finish_grading(job, elapsed, advisory, advisories)
 
     def _finish_grading(self, job, elapsed, advisory, advisories) -> None:

@@ -9,6 +9,8 @@ what lets the scheduler batch same-spec keys without changing a single
 advisory byte.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,27 @@ def arima_fit():
     return Arima((1, 0, 0)).fit(TimeSeries(50.0 + y[:380])), 50.0 + y[380:]
 
 
+@pytest.fixture(scope="module")
+def sarima_fit():
+    # The serving estate's SARIMA: seasonally differenced, seasonal MA.
+    y = _seasonal(3, 360)
+    model = Arima((1, 0, 1), seasonal=(0, 1, 1, 24))
+    return model.fit(TimeSeries(y[:336])), y[336:]
+
+
+def _cache_free(model):
+    """A copy of ``model`` that has not computed its lag polynomials yet."""
+    copy = dataclasses.replace(model)
+    assert copy._lags is None
+    return copy
+
+
+def _assert_same_forecast(a, b):
+    assert repr(a) == repr(b)
+    for band in ("mean", "lower", "upper"):
+        assert np.array_equal(getattr(a, band).values, getattr(b, band).values)
+
+
 def _assert_same_model(a, b):
     assert repr(a.train) == repr(b.train)
     assert np.array_equal(a.train.values, b.train.values)
@@ -76,19 +99,47 @@ class TestChunkedEqualsOneShot:
         assert np.array_equal(innov_one, np.concatenate([innov_a, innov_b]))
         assert repr(one.forecast(24)) == repr(two.forecast(24))
 
-    def test_arima(self, arima_fit):
+    def test_arima(self, arima_fit, sarima_fit):
         # ARIMA innovations are block-relative (deviations from the
         # pre-roll forecast), so only the leading chunk matches the
         # one-shot stream — but the rolled model and its forecasts must
         # land on the same origin regardless of chunking.
-        fit, future = arima_fit
-        one, innov_one = fit.advance(future[:10])
-        two_a, innov_a = fit.advance(future[:4])
-        two, innov_b = two_a.advance(future[4:10])
-        _assert_same_model(one, two)
-        assert np.array_equal(innov_one[:4], innov_a)
-        assert innov_b.shape == (6,)
-        assert repr(one.forecast(24)) == repr(two.forecast(24))
+        for fit, future in (arima_fit, sarima_fit):
+            one, innov_one = fit.advance(future[:10])
+            two_a, innov_a = fit.advance(future[:4])
+            two, innov_b = two_a.advance(future[4:10])
+            _assert_same_model(one, two)
+            assert np.array_equal(innov_one[:4], innov_a)
+            assert innov_b.shape == (6,)
+            assert repr(one.forecast(24)) == repr(two.forecast(24))
+
+        # The lag polynomials and ψ-weights are computed once per fit and
+        # carried through every roll; after each chunk the rolled model
+        # must forecast exactly like a copy that computes them afresh,
+        # also for a short horizon asked after a long one (a slice of
+        # the cached ψ vector).
+        fit, future = sarima_fit
+        model = fit
+        for lo, hi in ((0, 1), (1, 4), (4, 5), (5, 12), (12, 24)):
+            fresh, innov_fresh = _cache_free(model).advance(future[lo:hi])
+            model, innov = model.advance(future[lo:hi])
+            assert model._lags is fit._lags
+            assert np.array_equal(innov, innov_fresh)
+            for horizon in (24, 1):
+                _assert_same_forecast(model.forecast(horizon), _cache_free(model).forecast(horizon))
+            _assert_same_forecast(model.forecast(3), fresh.forecast(3))
+        assert fit._lags.psi.size >= 24
+        # New coefficients on the same object rebuild the polynomials.
+        tweaked = _cache_free(model)
+        tweaked.forecast(24)
+        tweaked.coeffs = tweaked.coeffs * 0.5
+        _assert_same_forecast(tweaked.forecast(24), _cache_free(tweaked).forecast(24))
+        # A refit has new coefficients and starts without a cache.
+        refit = Arima((1, 0, 1), seasonal=(0, 1, 1, 24)).fit(model.train)
+        assert refit._lags is None
+        refit.forecast(24)
+        assert refit._lags is not fit._lags
+        assert refit._lags.coeffs is refit.coeffs
 
 
 class TestRollSemantics:
