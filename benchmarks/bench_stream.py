@@ -556,6 +556,139 @@ def test_cohort_tick_scaling(monkeypatch):
         assert ratio < 13.0, f"tick cost scaled {ratio:.1f}x for 10x keys"
 
 
+
+def test_sarima_cohort_serving(monkeypatch):
+    """SARIMA serving cost per tick: O(1) rolled state plus cohort grading.
+
+    One SARIMA (1,0,1)(0,1,1,24) model is fitted once and adopted by
+    100 and 1000 keys (zero grid fits). Each tick delivers one closed
+    window per key: every key continues its CSS filter from O(1) rolled
+    state, and all keys grade as one ARIMA cohort (one batched
+    difference-equation forecast and one block grade). The scalar leg
+    makes the cohort forecast raise, so every key grades alone through
+    its own ``forecast``. Legs alternate ``repeats`` times per estate
+    size, each timed tick starts after ``gc.collect()`` with the
+    collector off, and each leg reads its minimum tick. Every key must
+    be rolled and graded on every tick; the 1000-key cohort tick is the
+    gated headline, so a change that puts SARIMA back on a per-tick
+    history re-filter fails the reduced-grid bench gate.
+    """
+    import gc
+
+    from repro.models.arima import Arima
+
+    key_counts = (100, 1000)
+    seed_hours = 336
+    n_ticks = 8
+    period = 24
+    repeats = 3
+
+    rng = np.random.default_rng(11)
+    t = np.arange(seed_hours + n_ticks)
+    base = 55.0 + 9.0 * np.sin(2 * np.pi * t / period) + rng.normal(0, 0.8, t.size)
+    history = base[:seed_hours]
+    template = Arima((1, 0, 1), seasonal=(0, 1, 1, period)).fit(
+        TimeSeries(history, Frequency.HOURLY)
+    )
+
+    def _run(n_keys: int) -> list[float]:
+        planner = EstatePlanner(config=AutoConfig(technique="hes", n_jobs=1))
+        sched = ForecastScheduler(
+            planner, thresholds={"cpu": 95.0}, min_observations=seed_hours
+        )
+        for k in range(n_keys):
+            name = f"db{k:05d}"
+            series = TimeSeries(history, Frequency.HOURLY, name=f"{name}.cpu")
+            sched.seed_history(name, "cpu", series)
+            outcome = SelectionOutcome(
+                model=dataclasses.replace(template, train=series),
+                technique="sarimax",
+                test_rmse=1.0,
+                best_spec=None,
+                seasonality=None,
+                shock_calendar=None,
+            )
+            sched.adopt_model(name, "cpu", outcome)
+
+        per_tick = []
+        for tick in range(n_ticks):
+            hour = seed_hours + tick
+            batch = [
+                ClosedWindow(
+                    instance=f"db{k:05d}",
+                    metric="cpu",
+                    start=hour * 3600.0,
+                    value=float(base[hour]),
+                    n_samples=4,
+                    expected=4,
+                )
+                for k in range(n_keys)
+            ]
+            rolls = sched.trace.counters.get("stream_rolls_applied", 0)
+            gc.collect()
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                out = sched.on_windows(batch)
+                per_tick.append(time.perf_counter() - t0)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+            assert len(out.advisories) == n_keys
+            assert not [a for a in out.advisories.values() if a.degraded]
+            assert sched.trace.counters["stream_rolls_applied"] - rolls == n_keys
+        assert sched.trace.counters.get("stream_selection_runs", 0) == 0
+        return per_tick
+
+    def broken_cohort_forecast(models, horizon, alpha=0.05):
+        raise RuntimeError("scalar leg: every key grades alone")
+
+    results = {}
+    for n_keys in key_counts:
+        cohort_ticks: list[float] = []
+        scalar_ticks: list[float] = []
+        for __ in range(repeats):
+            cohort_ticks += _run(n_keys)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    "repro.stream.scheduler.arima_forecast_cohort_arrays", broken_cohort_forecast
+                )
+                scalar_ticks += _run(n_keys)
+        cohort_s, scalar_s = min(cohort_ticks), min(scalar_ticks)
+        results[str(n_keys)] = {
+            "ms_per_tick": 1e3 * cohort_s,
+            "ms_per_tick_scalar": 1e3 * scalar_s,
+            "us_per_key_tick": 1e6 * cohort_s / n_keys,
+            "cohort_speedup": scalar_s / cohort_s,
+        }
+
+    table = Table(
+        ["Keys", "cohort ms/tick", "scalar ms/tick", "speedup", "us/key/tick"],
+        title="SARIMA serving tick cost vs estate size",
+    )
+    for n_keys in key_counts:
+        e = results[str(n_keys)]
+        table.add_row([
+            str(n_keys), f"{e['ms_per_tick']:.2f}", f"{e['ms_per_tick_scalar']:.2f}",
+            f"{e['cohort_speedup']:.1f}x", f"{e['us_per_key_tick']:.1f}",
+        ])
+    print()
+    table.print()
+
+    write_bench_json(
+        BENCH_JSON,
+        "sarima_serving",
+        {
+            "key_counts": list(key_counts),
+            "history_hours": seed_hours,
+            "ticks": n_ticks,
+            "repeats": repeats,
+            "per_keys": results,
+            "ms_per_tick_1000": results["1000"]["ms_per_tick"],
+        },
+    )
+
 def test_dayprofile_serving_vs_seasonal_naive():
     """Day-profile serving cost per tick against the seasonal-naive rung.
 

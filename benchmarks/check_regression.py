@@ -38,6 +38,7 @@ HEADLINES: tuple[tuple[str, str, str], ...] = (
     ("BENCH_stream.json", "scheduler.ms_per_tick", "lower"),
     ("BENCH_stream.json", "cohort_scaling.ms_per_tick_1000", "lower"),
     ("BENCH_stream.json", "cohort_scaling.dispatch_speedup_1000", "higher"),
+    ("BENCH_stream.json", "sarima_serving.ms_per_tick_1000", "lower"),
     ("BENCH_stream.json", "dayprofile_serving.ms_per_tick", "lower"),
     ("BENCH_stream.json", "dayprofile_serving.vs_seasonal_naive_ratio", "lower"),
     ("BENCH_stream.json", "shard_scaling.ingest_speedup_2", "higher"),

@@ -31,6 +31,7 @@ import numpy as np
 from scipy import optimize, signal
 
 from ..core.stationarity import difference
+from ..core.stats import band_z
 from ..core.timeseries import TimeSeries
 from ..exceptions import ConvergenceError, ModelError
 from . import kernels
@@ -45,7 +46,7 @@ from .polynomials import (
     seasonal_expand,
 )
 
-__all__ = ["ArimaOrder", "SeasonalOrder", "Arima", "FittedArima"]
+__all__ = ["ArimaOrder", "SeasonalOrder", "Arima", "FittedArima", "forecast_cohort_arrays"]
 
 _STABILITY_MARGIN = 1.0 + 1e-4
 _PENALTY = 1e8
@@ -179,6 +180,35 @@ class _LagPolynomials:
         return psi[:n]
 
 
+@dataclass(eq=False)
+class _RollState:
+    """The forecast origin of one training series, in O(L + q) numbers.
+
+    ``tail`` holds the last L regression-adjusted values (L is the degree
+    of ``full_ar``; its last ``d + D·F`` entries are the differencing
+    tail), ``recent_e`` the last q innovations of the CSS filter and
+    ``zf`` ``lfilter``'s final state after the whole series. New
+    observations continue the filter where the whole-series pass left
+    it, which reproduces that pass bit for bit: differencing is
+    elementwise and ``lfilter`` fed in chunks through ``zi`` runs the
+    same recurrence. ``train``, ``lags`` and ``intercept`` record what
+    the state was built from, so a model whose series or coefficients
+    were reassigned rebuilds it; ``c_star`` is the constant term on the
+    undifferenced scale, φ(1)Φ(1)·μ.
+    """
+
+    train: TimeSeries
+    lags: _LagPolynomials
+    intercept: float
+    tail: np.ndarray
+    recent_e: np.ndarray
+    zf: np.ndarray
+
+    @property
+    def c_star(self) -> float:
+        return float(np.sum(self.lags.ar_full)) * self.intercept
+
+
 def _css_residuals(w: np.ndarray, spec: _Spec, params: np.ndarray) -> np.ndarray:
     ar_full, ma_full = _polys(spec, params)
     return signal.lfilter(ar_full, ma_full, w)
@@ -186,6 +216,16 @@ def _css_residuals(w: np.ndarray, spec: _Spec, params: np.ndarray) -> np.ndarray
 
 def _warmup(spec: _Spec) -> int:
     return spec.order.p + spec.seasonal.P * spec.seasonal.F
+
+
+def _observations(values) -> np.ndarray:
+    """Validate a roll's new observations as a non-empty finite 1-D array."""
+    raw = np.ascontiguousarray(values, dtype=float)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ModelError("advance needs a non-empty 1-D batch of observations")
+    if not np.all(np.isfinite(raw)):
+        raise ModelError("cannot roll an ARIMA origin through non-finite observations")
+    return raw
 
 
 def _objective(params: np.ndarray, w: np.ndarray, spec: _Spec) -> float:
@@ -278,6 +318,10 @@ class FittedArima(FittedModel):
     # Unannotated for the same reason: it stays out of repr and equality,
     # and a refit's fresh instance starts without one.
     _lags = None
+    # The O(1) rolled state of ``train`` (a ``_RollState``), built from
+    # the whole series on first use and extended by each ``advance``.
+    # Unannotated like ``_lags``.
+    _state = None
 
     def label(self) -> str:
         if self.seasonal.is_null:
@@ -298,30 +342,49 @@ class FittedArima(FittedModel):
             self._lags = lags
         return lags
 
-    def _forecast_adjusted(self, z: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """Forecast the regression-adjusted series ``z`` (mean, std)."""
+    def _adjusted_train(self) -> np.ndarray:
+        """The training values the ARMA part models (no regression here)."""
+        return self.train.values
+
+    def _roll_state(self) -> _RollState:
+        """The rolled state of ``train``; one O(n) filter pass on first use."""
+        lags = self._lag_polynomials()
+        state = self._state
+        if (
+            state is None
+            or state.train is not self.train
+            or state.lags is not lags
+            or state.intercept != self.intercept
+        ):
+            # The whole series is one roll from an empty origin.
+            n_state = max(lags.ar_full.size, lags.ma_full.size) - 1
+            empty = _RollState(
+                self.train, lags, self.intercept, np.empty(0), np.empty(0), np.zeros(n_state)
+            )
+            state = self._extended_state(empty, self.train, self._adjusted_train())
+            self._state = state
+        return state
+
+    def _band_std(self, lags: _LagPolynomials, horizon: int) -> np.ndarray:
+        """ψ-weight forecast std: ``sqrt(σ² Σ_{j<h} ψ_j²)`` per step."""
+        psi = lags.psi_weights(horizon)
+        return np.sqrt(np.maximum(self.sigma2 * np.cumsum(psi**2), 0.0))
+
+    def _forecast_adjusted(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """Forecast the regression-adjusted series from the rolled state (mean, std).
+
+        Costs O(L + q + H): the difference equation iterates from the
+        state's last L values and q innovations in the kernel (in-sample
+        shocks contribute while j > h, i.e. while they are still visible).
+        """
         if horizon <= 0:
             raise ModelError(f"horizon must be positive, got {horizon}")
-        lags = self._lag_polynomials()
-        ar_full, ma_full, full_ar = lags.ar_full, lags.ma_full, lags.full_ar
-        # Constant term on the undifferenced scale: φ(1)Φ(1)·μ.
-        c_star = float(np.sum(ar_full)) * self.intercept
-
-        w = difference(z, self.order.d, self.seasonal.D, self.seasonal.F)
-        e = signal.lfilter(ar_full, ma_full, w - self.intercept)
-
-        L = full_ar.size - 1
-        history = z[-L:] if L else np.empty(0)
-        q_full = ma_full.size - 1
-        recent_e = e[-q_full:] if q_full else np.empty(0)
-
-        # Iterate the expanded difference equation in the kernel (in-sample
-        # shocks contribute while j > h, i.e. while they are still visible).
-        mean = kernels.arma_forecast(full_ar, ma_full, history, recent_e, c_star, horizon)
-
-        psi = lags.psi_weights(horizon)
-        std = np.sqrt(np.maximum(self.sigma2 * np.cumsum(psi**2), 0.0))
-        return mean, std
+        state = self._roll_state()
+        lags = state.lags
+        mean = kernels.arma_forecast(
+            lags.full_ar, lags.ma_full, state.tail, state.recent_e, state.c_star, horizon
+        )
+        return mean, self._band_std(lags, horizon)
 
     def forecast(
         self,
@@ -344,7 +407,7 @@ class FittedArima(FittedModel):
         n_paths:
             Simulation paths for the bootstrap bands.
         """
-        mean, std = self._forecast_adjusted(self.train.values, horizon)
+        mean, std = self._forecast_adjusted(horizon)
         if intervals == "analytic":
             return self.make_forecast(mean, std, alpha)
         if intervals != "bootstrap":
@@ -361,24 +424,27 @@ class FittedArima(FittedModel):
     def advance(self, values: np.ndarray) -> tuple["FittedArima", np.ndarray]:
         """Roll the forecast origin through new observations without refitting.
 
-        ARIMA keeps no incremental state: :meth:`_forecast_adjusted`
-        rebuilds the difference-equation history from ``train`` on every
-        call, so moving the origin is just extending the training series
-        with the frozen coefficients. The returned innovations are the
-        observed deviations from the pre-roll forecast rescaled to
-        one-step-equivalents (``ψ``-weight std back to ``sqrt(sigma2)``
-        units, exact at step one since ``ψ₀ = 1``), so drift detectors can
-        standardise them against ``sqrt(sigma2)`` like any other family's.
+        The coefficients stay frozen; the rolled model's state continues
+        the CSS filter through the new values in O(L + q + k), so neither
+        this call nor the rolled model's next ``forecast`` re-filters the
+        history. The rolled model forecasts exactly like a fresh fit
+        object carrying the same coefficients on the extended ``train``.
+        The returned innovations are the observed deviations from the
+        pre-roll forecast rescaled to one-step-equivalents (``ψ``-weight
+        std back to ``sqrt(sigma2)`` units, exact at step one since
+        ``ψ₀ = 1``), so drift detectors can standardise them against
+        ``sqrt(sigma2)`` like any other family's.
         """
-        raw = np.ascontiguousarray(values, dtype=float)
-        if raw.ndim != 1 or raw.size == 0:
-            raise ModelError("advance needs a non-empty 1-D batch of observations")
-        if not np.all(np.isfinite(raw)):
-            raise ModelError("cannot roll an ARIMA origin through non-finite observations")
-        mean, std = self._forecast_adjusted(self.train.values, raw.size)
+        raw = _observations(values)
+        return self._roll(raw, raw)
+
+    def _roll(self, raw: np.ndarray, z_new: np.ndarray) -> tuple["FittedArima", np.ndarray]:
+        """Extend ``train`` by ``raw`` and the state by its adjusted values ``z_new``."""
+        state = self._roll_state()
+        mean, std = self._forecast_adjusted(raw.size)
         sigma = float(np.sqrt(self.sigma2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            innovations = np.where(std > 0, (raw - mean) * (sigma / std), raw - mean)
+            innovations = np.where(std > 0, (z_new - mean) * (sigma / std), z_new - mean)
         step = self.train.frequency.seconds
         extension = TimeSeries(
             values=raw,
@@ -391,8 +457,32 @@ class FittedArima(FittedModel):
             train=self.train.append(extension),
             residuals=np.concatenate([self.residuals, innovations]),
         )
-        rolled._lags = self._lags
+        rolled._lags = state.lags
+        rolled._state = self._extended_state(state, rolled.train, z_new)
         return rolled, innovations
+
+    def _extended_state(
+        self, state: _RollState, train: TimeSeries, z_new: np.ndarray
+    ) -> _RollState:
+        """``state`` continued through the adjusted values ``z_new``."""
+        lags = state.lags
+        d, D, F = self.order.d, self.seasonal.D, self.seasonal.F
+        n_diff = d + D * F
+        head = state.tail[state.tail.size - n_diff :] if n_diff else np.empty(0)
+        w_new = difference(np.concatenate([head, z_new]), d, D, F)
+        e_new, zf = signal.lfilter(
+            lags.ar_full, lags.ma_full, w_new - state.intercept, zi=state.zf
+        )
+        L = lags.full_ar.size - 1
+        q = lags.ma_full.size - 1
+        return _RollState(
+            train=train,
+            lags=lags,
+            intercept=state.intercept,
+            tail=np.concatenate([state.tail, z_new])[-L:] if L else state.tail,
+            recent_e=np.concatenate([state.recent_e, e_new])[-q:] if q else state.recent_e,
+            zf=zf,
+        )
 
     def _bootstrap_band(
         self, mean: np.ndarray, horizon: int, alpha: float, n_paths: int
@@ -422,6 +512,46 @@ class FittedArima(FittedModel):
         lower = mean + np.quantile(deviations, alpha / 2.0, axis=0)
         upper = mean + np.quantile(deviations, 1.0 - alpha / 2.0, axis=0)
         return lower, upper
+
+
+def forecast_cohort_arrays(
+    models: list[FittedArima], horizon: int, alpha: float = 0.05
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forecast a same-order ARIMA cohort as stacked ``(B, horizon)`` bands.
+
+    Returns ``(mean, lower, upper)`` — row ``i`` bit-identical to
+    ``models[i].forecast(horizon, alpha)``'s band values: the point
+    forecasts iterate each row's rolled state in one
+    :func:`~repro.models.kernels.arma_forecast_batch` call and the std is
+    each row's ψ-weight sum. Every model must be a plain
+    :class:`FittedArima` of one (order, seasonal order); regression fits
+    forecast one at a time. The caller owns timestamps (each row's
+    forecast starts one step after its model's training end).
+    """
+    if horizon <= 0:
+        raise ModelError(f"horizon must be positive, got {horizon}")
+    if not models:
+        raise ModelError("an ARIMA cohort needs at least one model")
+    order, seasonal = models[0].order, models[0].seasonal
+    for model in models:
+        if type(model) is not FittedArima:
+            raise ModelError(f"{type(model).__name__} cannot join an ARIMA cohort")
+        if model.order != order or model.seasonal != seasonal:
+            raise ModelError("an ARIMA cohort must share one (order, seasonal order)")
+    states = [model._roll_state() for model in models]
+    mean = kernels.arma_forecast_batch(
+        np.stack([state.lags.full_ar for state in states]),
+        np.stack([state.lags.ma_full for state in states]),
+        np.stack([state.tail for state in states]),
+        np.stack([state.recent_e for state in states]),
+        np.array([state.c_star for state in states]),
+        horizon,
+    )
+    std = np.stack([model._band_std(state.lags, horizon) for model, state in zip(models, states)])
+    if np.any(std < 0):
+        raise ModelError("negative forecast standard deviation")
+    z = band_z(alpha)
+    return mean, mean - z * std, mean + z * std
 
 
 class Arima(ForecastModel):

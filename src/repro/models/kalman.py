@@ -38,7 +38,6 @@ __all__ = [
     "arma_state_space",
     "stationary_initialisation",
     "kalman_loglike",
-    "kalman_loglike_batch",
     "fit_arma_mle",
     "MleResult",
 ]
@@ -128,61 +127,6 @@ def kalman_loglike(
         return -np.inf, np.nan
     ll = -0.5 * (n * (np.log(2.0 * np.pi) + 1.0 + np.log(sigma2)) + sum_logF)
     return float(ll), float(sigma2)
-
-
-def kalman_loglike_batch(
-    y: np.ndarray, phi: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concentrated log-likelihoods for a cohort sharing one ``(p, q)`` order.
-
-    ``y`` is ``(B, n)``; ``phi``/``theta`` are ``(B, p)``/``(B, q)`` — one
-    candidate parameter point per row (the shape a cohort-batched grid
-    evaluation produces). State spaces are built per row (they are tiny);
-    the filter passes run through
-    :func:`repro.models.kernels.kalman_filter_batch` in one dispatch.
-    Returns ``(loglike (B,), sigma2 (B,))``, each row bit-identical to
-    :func:`kalman_loglike` on that row (non-stationary rows get
-    ``(-inf, nan)`` exactly as the per-key guard does).
-    """
-    from .polynomials import min_root_modulus
-
-    y = np.ascontiguousarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ModelError(f"cohort series must be (batch, n), got {y.shape}")
-    B, n = y.shape
-    if n < 3:
-        raise ModelError("need at least 3 observations for the likelihood")
-    phi = np.atleast_2d(np.asarray(phi, dtype=float))
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    lls = np.full(B, -np.inf)
-    sig = np.full(B, np.nan)
-    rows: list[int] = []
-    Ts, RRts, P0s = [], [], []
-    for i in range(B):
-        ph, th = phi[i], theta[i]
-        if ph.size and min_root_modulus(ar_poly(ph)) <= 1.0:
-            continue
-        if th.size and min_root_modulus(ma_poly(th)) <= 1.0:
-            continue
-        T, R, __ = arma_state_space(ph, th)
-        P = stationary_initialisation(T, R)
-        rows.append(i)
-        Ts.append(T)
-        RRts.append(np.outer(R, R))
-        P0s.append(P)
-    if rows:
-        sum_sq, sum_logF, ok = kernels.kalman_filter_batch(
-            y[rows], np.stack(Ts), np.stack(RRts), np.stack(P0s)
-        )
-        for j, i in enumerate(rows):
-            if not ok[j]:
-                continue
-            sigma2 = sum_sq[j] / n
-            if sigma2 <= 0 or not np.isfinite(sigma2):
-                continue
-            lls[i] = -0.5 * (n * (np.log(2.0 * np.pi) + 1.0 + np.log(sigma2)) + sum_logF[j])
-            sig[i] = float(sigma2)
-    return lls, sig
 
 
 @dataclass(frozen=True)

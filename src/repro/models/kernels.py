@@ -68,10 +68,7 @@ __all__ = [
     "bootstrap_deviations",
     "ets_recursion_batch",
     "ets_mul_paths_batch",
-    "tbats_filter_batch",
-    "kalman_filter_batch",
     "arma_forecast_batch",
-    "bootstrap_deviations_batch",
 ]
 
 BACKEND_ENV = "REPRO_KERNEL_BACKEND"
@@ -88,15 +85,13 @@ KERNEL_NAMES = (
 
 #: Structure-of-arrays variants: one ``(batch, …)`` state block advances
 #: N independent keys through the same recursion in a single dispatch.
-#: ``tbats_paths`` has no batched variant — it is already vectorised
-#: across simulation paths, which is its batch axis.
+#: Only the recursions the serving loop runs per cohort have one: the
+#: smoothing pass and its multiplicative-band simulation (HES cohorts)
+#: and the difference-equation forecast (ARIMA/SARIMA cohorts).
 BATCHED_KERNEL_NAMES = (
     "ets_recursion_batch",
     "ets_mul_paths_batch",
-    "tbats_filter_batch",
-    "kalman_filter_batch",
     "arma_forecast_batch",
-    "bootstrap_deviations_batch",
 )
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -430,22 +425,17 @@ def _bootstrap_deviations_numpy(psi, shocks):
 #   taken verbatim, so overflow handling (saturate vs. raise) can never
 #   diverge between the two code paths.
 #
-# Reductions with backend-dependent summation order (BLAS dot products in
-# the Kalman and ARMA kernels, ``math.log``) are *not* vectorised across
-# the batch: those two kernels delegate per row, and batching only
-# amortises the dispatch/validation overhead.
+# Reductions with backend-dependent summation order (the BLAS dot product
+# in the ARMA kernel) are *not* vectorised across the batch: that kernel
+# delegates per row, and batching only amortises the dispatch/validation
+# overhead.
 # ---------------------------------------------------------------------------
 def _nonfinite_rows(*arrays) -> np.ndarray:
     """Boolean (B,) mask of rows with any non-finite output component."""
     bad = None
     for arr in arrays:
         arr = np.asarray(arr)
-        flat = arr.reshape(arr.shape[0], -1)
-        row_bad = ~np.isfinite(flat).all(axis=1)
-        if np.iscomplexobj(arr):
-            row_bad = ~(
-                np.isfinite(flat.real).all(axis=1) & np.isfinite(flat.imag).all(axis=1)
-            )
+        row_bad = ~np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
         bad = row_bad if bad is None else (bad | row_bad)
     return bad
 
@@ -588,123 +578,6 @@ def _ets_mul_paths_batch_numpy(
     return sims
 
 
-def _tbats_filter_batch_numpy(
-    y, alpha, beta, phi, use_trend, rot, gamma_vec, ar, ma, level0, trend0, z0, d0, e0
-):
-    """Batched TBATS filtering pass: one ``(B, n)`` block, shared shape.
-
-    All rows must share the harmonic count ``k`` and ARMA orders ``p``/``q``
-    (cohort contract); parameters and states differ per row.
-    """
-    B, n = y.shape
-    if B == 1:
-        innov, level, trend, z, d_hist, e_hist = _tbats_filter_numpy(
-            y[0], float(alpha[0]), float(beta[0]), float(phi[0]), use_trend,
-            rot[0], gamma_vec[0], ar[0], ma[0],
-            float(level0[0]), float(trend0[0]), z0[0], d0[0], e0[0],
-        )
-        return (
-            np.asarray(innov)[None, :],
-            np.array([level]),
-            np.array([trend]),
-            np.asarray(z, dtype=complex)[None, :],
-            np.asarray(d_hist)[None, :],
-            np.asarray(e_hist)[None, :],
-        )
-    k = z0.shape[1]
-    p = ar.shape[1]
-    q = ma.shape[1]
-    level = level0.astype(float).copy()
-    trend = trend0.astype(float).copy()
-    # Harmonic states kept as split real/imag float arrays: numpy's
-    # complex multiply may contract to FMA, rounding differently from the
-    # per-key kernel's scalar complex arithmetic. Separate float ops
-    # reproduce the naive (re*re - im*im, re*im + im*re) product exactly.
-    # The written buffers (zr/zi/dT/eT) need explicit copies: with k, p or
-    # q equal to 1 the transpose of the caller's (B, 1) state array is
-    # still contiguous, so ascontiguousarray would hand back an aliasing
-    # view and the in-place updates would corrupt the fitted model state.
-    zr = z0.real.T.copy()
-    zi = z0.imag.T.copy()
-    rr = np.ascontiguousarray(rot.real.T)
-    ri = np.ascontiguousarray(rot.imag.T)
-    gr = np.ascontiguousarray(gamma_vec.real.T)
-    gi = np.ascontiguousarray(gamma_vec.imag.T)
-    arT = np.ascontiguousarray(ar.T)
-    maT = np.ascontiguousarray(ma.T)
-    dT = d0.T.copy()
-    eT = e0.T.copy()
-    yT = np.ascontiguousarray(y.T)
-    innovT = np.empty((n, B))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t in range(n):
-            seasonal = np.zeros(B)
-            for i in range(k):
-                seasonal = seasonal + zr[i]
-            d_pred = np.zeros(B)
-            for i in range(p):
-                d_pred = d_pred + arT[i] * dT[i]
-            for i in range(q):
-                d_pred = d_pred + maT[i] * eT[i]
-            yt = yT[t]
-            e = yt - (level + phi * trend + seasonal + d_pred)
-            d = d_pred + e
-            innovT[t] = e
-            prev = level
-            level = prev + phi * trend + alpha * d
-            if use_trend:
-                trend = phi * trend + beta * d
-            for i in range(k):
-                t_re = rr[i] * zr[i] - ri[i] * zi[i]
-                t_im = rr[i] * zi[i] + ri[i] * zr[i]
-                zr[i] = t_re + gr[i] * d
-                zi[i] = t_im + gi[i] * d
-            if p:
-                dT[1:] = dT[:-1]
-                dT[0] = d
-            if q:
-                eT[1:] = eT[:-1]
-                eT[0] = e
-    innov = np.ascontiguousarray(innovT.T)
-    z = np.empty((B, k), dtype=complex)
-    z.real = zr.T
-    z.imag = zi.T
-    d_hist = np.ascontiguousarray(dT.T)
-    e_hist = np.ascontiguousarray(eT.T)
-    bad = _nonfinite_rows(innov, level[:, None], trend[:, None], z, d_hist, e_hist)
-    for b in np.flatnonzero(bad):
-        i_b, l_b, t_b, z_b, d_b, e_b = _tbats_filter_numpy(
-            y[b], float(alpha[b]), float(beta[b]), float(phi[b]), use_trend,
-            rot[b], gamma_vec[b], ar[b], ma[b],
-            float(level0[b]), float(trend0[b]), z0[b], d0[b], e0[b],
-        )
-        innov[b] = i_b
-        level[b] = l_b
-        trend[b] = t_b
-        z[b] = z_b
-        d_hist[b] = d_b
-        e_hist[b] = e_b
-    return innov, level, trend, z, d_hist, e_hist
-
-
-def _kalman_filter_batch_numpy(y, T, RRt, P0):
-    """Batched concentrated Kalman pass: delegates per row.
-
-    The per-key kernel mixes ``math.log`` and BLAS inner products whose
-    rounding is not reproducible by cross-key vectorised numpy ops, so the
-    numpy leg keeps the per-key recursion as the unit of work and the
-    batch only amortises dispatch; the payoff is shape validation and
-    counter bumping once per cohort instead of once per key.
-    """
-    B = y.shape[0]
-    sum_sq = np.empty(B)
-    sum_logF = np.empty(B)
-    ok = np.empty(B, dtype=bool)
-    for b in range(B):
-        sum_sq[b], sum_logF[b], ok[b] = _kalman_filter_numpy(y[b], T[b], RRt[b], P0[b])
-    return sum_sq, sum_logF, ok
-
-
 def _arma_forecast_batch_numpy(full_ar, ma_full, history, recent_e, c_star, horizon):
     """Batched ARMA forecast iteration: delegates per row (BLAS dot order)."""
     B = full_ar.shape[0]
@@ -714,22 +587,6 @@ def _arma_forecast_batch_numpy(full_ar, ma_full, history, recent_e, c_star, hori
             full_ar[b], ma_full[b], history[b], recent_e[b], float(c_star[b]), horizon
         )
     return mean
-
-
-def _bootstrap_deviations_batch_numpy(psi, shocks):
-    """Batched ψ-weight convolution: stacked Toeplitz mat-muls.
-
-    ``psi`` is ``(B, H)`` and ``shocks`` ``(B, P, H)``; the stacked
-    ``matmul`` runs the same per-slice dgemm as the per-key kernel, so
-    each row is bit-identical to a per-key call.
-    """
-    B, horizon = psi.shape
-    if B == 1:
-        return _bootstrap_deviations_numpy(psi[0], shocks[0])[None, :, :]
-    weights = np.zeros((B, horizon, horizon))
-    for i in range(horizon):
-        weights[:, i, i:] = psi[:, : horizon - i]
-    return shocks @ weights
 
 
 _NUMPY_IMPLS = {
@@ -742,10 +599,7 @@ _NUMPY_IMPLS = {
     "bootstrap_deviations": _bootstrap_deviations_numpy,
     "ets_recursion_batch": _ets_recursion_batch_numpy,
     "ets_mul_paths_batch": _ets_mul_paths_batch_numpy,
-    "tbats_filter_batch": _tbats_filter_batch_numpy,
-    "kalman_filter_batch": _kalman_filter_batch_numpy,
     "arma_forecast_batch": _arma_forecast_batch_numpy,
-    "bootstrap_deviations_batch": _bootstrap_deviations_batch_numpy,
 }
 
 
@@ -1030,39 +884,6 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installe
             )
         return sims
 
-    def _tbats_filter_batch_nb(
-        y, alpha, beta, phi, use_trend, rot, gamma_vec, ar, ma, level0, trend0, z0, d0, e0
-    ):
-        B, n = y.shape
-        innov = np.empty((B, n))
-        level = np.empty(B)
-        trend = np.empty(B)
-        z = np.empty_like(z0)
-        d_hist = np.empty_like(d0)
-        e_hist = np.empty_like(e0)
-        for b in range(B):
-            i_b, l_b, t_b, z_b, d_b, e_b = _tbats_filter_nb(
-                y[b], alpha[b], beta[b], phi[b], use_trend,
-                rot[b], gamma_vec[b], ar[b], ma[b],
-                level0[b], trend0[b], z0[b], d0[b], e0[b],
-            )
-            innov[b] = i_b
-            level[b] = l_b
-            trend[b] = t_b
-            z[b] = z_b
-            d_hist[b] = d_b
-            e_hist[b] = e_b
-        return innov, level, trend, z, d_hist, e_hist
-
-    def _kalman_filter_batch_nb(y, T, RRt, P0):
-        B = y.shape[0]
-        sum_sq = np.empty(B)
-        sum_logF = np.empty(B)
-        ok = np.empty(B, dtype=np.bool_)
-        for b in range(B):
-            sum_sq[b], sum_logF[b], ok[b] = _kalman_filter_nb(y[b], T[b], RRt[b], P0[b])
-        return sum_sq, sum_logF, ok
-
     def _arma_forecast_batch_nb(full_ar, ma_full, history, recent_e, c_star, horizon):
         B = full_ar.shape[0]
         mean = np.empty((B, horizon))
@@ -1071,13 +892,6 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installe
                 full_ar[b], ma_full[b], history[b], recent_e[b], c_star[b], horizon
             )
         return mean
-
-    def _bootstrap_deviations_batch_nb(psi, shocks):
-        B = psi.shape[0]
-        out = np.empty_like(shocks)
-        for b in range(B):
-            out[b] = _bootstrap_deviations_nb(psi[b], shocks[b])
-        return out
 
     _NUMBA_IMPLS = {
         "ets_recursion": _ets_recursion_nb,
@@ -1089,10 +903,7 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installe
         "bootstrap_deviations": _bootstrap_deviations_nb,
         "ets_recursion_batch": _ets_recursion_batch_nb,
         "ets_mul_paths_batch": _ets_mul_paths_batch_nb,
-        "tbats_filter_batch": _tbats_filter_batch_nb,
-        "kalman_filter_batch": _kalman_filter_batch_nb,
         "arma_forecast_batch": _arma_forecast_batch_nb,
-        "bootstrap_deviations_batch": _bootstrap_deviations_batch_nb,
     }
 
 
@@ -1197,21 +1008,10 @@ def warm_compile() -> int:
         np.array([0.3, 0.2]), np.array([0.1, 0.1]), np.array([0.1, 0.1]),
         np.array([0.97, 0.97]), True, 2, np.array([0, 1]), np.zeros((2, 2, 3)),
     )
-    _IMPL["tbats_filter_batch"](
-        np.vstack([y, y]), np.array([0.1, 0.1]), np.array([0.01, 0.01]),
-        np.array([0.98, 0.98]), True, np.tile(rot, (2, 1)), np.tile(gamma_vec, (2, 1)),
-        np.tile(arma, (2, 1)), np.tile(arma, (2, 1)), np.array([1.0, 1.0]), two,
-        np.tile(z0, (2, 1)), np.tile(hist, (2, 1)), np.tile(hist, (2, 1)),
-    )
-    _IMPL["kalman_filter_batch"](
-        np.vstack([y, y]), np.tile(T, (2, 1, 1)), np.tile(RRt, (2, 1, 1)),
-        np.tile(np.eye(2), (2, 1, 1)),
-    )
     _IMPL["arma_forecast_batch"](
         np.tile(np.array([1.0, -0.5]), (2, 1)), np.tile(np.array([1.0, 0.3]), (2, 1)),
         np.ones((2, 1)), np.full((2, 1), 0.1), two, 3,
     )
-    _IMPL["bootstrap_deviations_batch"](np.tile(np.array([1.0, 0.5]), (2, 1)), np.zeros((2, 2, 2)))
     _WARMED = True
     _WARM_RUNS += 1
     return len(_ALL_KERNEL_NAMES)
@@ -1483,53 +1283,6 @@ def ets_mul_paths_batch(level0, trend0, seasonal0, alpha, beta, gamma, phi, use_
     )
 
 
-def tbats_filter_batch(y, alpha, beta, phi, use_trend, rot, gamma_vec, ar, ma, level0, trend0, z0, d0, e0):
-    """Batched :func:`tbats_filter` over rows sharing ``(k, p, q)`` structure.
-
-    Returns ``(innovations (B, n), level (B,), trend (B,), z (B, k),
-    d_hist (B, p), e_hist (B, q))``.
-    """
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    return _timed_batch(
-        "tbats_filter_batch",
-        y.shape[0],
-        (
-            y,
-            np.ascontiguousarray(alpha, dtype=np.float64),
-            np.ascontiguousarray(beta, dtype=np.float64),
-            np.ascontiguousarray(phi, dtype=np.float64),
-            bool(use_trend),
-            np.ascontiguousarray(rot, dtype=np.complex128),
-            np.ascontiguousarray(gamma_vec, dtype=np.complex128),
-            np.ascontiguousarray(ar, dtype=np.float64),
-            np.ascontiguousarray(ma, dtype=np.float64),
-            np.ascontiguousarray(level0, dtype=np.float64),
-            np.ascontiguousarray(trend0, dtype=np.float64),
-            np.ascontiguousarray(z0, dtype=np.complex128),
-            np.ascontiguousarray(d0, dtype=np.float64),
-            np.ascontiguousarray(e0, dtype=np.float64),
-        ),
-    )
-
-
-def kalman_filter_batch(y, T, RRt, P0):
-    """Batched :func:`kalman_filter`: ``y`` is ``(B, n)``, matrices ``(B, m, m)``.
-
-    Returns ``(sum_sq (B,), sum_logF (B,), ok (B,) bool)``.
-    """
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    return _timed_batch(
-        "kalman_filter_batch",
-        y.shape[0],
-        (
-            y,
-            np.ascontiguousarray(T, dtype=np.float64),
-            np.ascontiguousarray(RRt, dtype=np.float64),
-            np.ascontiguousarray(P0, dtype=np.float64),
-        ),
-    )
-
-
 def arma_forecast_batch(full_ar, ma_full, history, recent_e, c_star, horizon):
     """Batched :func:`arma_forecast` over rows sharing ``(L, q)`` structure.
 
@@ -1546,18 +1299,5 @@ def arma_forecast_batch(full_ar, ma_full, history, recent_e, c_star, horizon):
             np.ascontiguousarray(recent_e, dtype=np.float64),
             np.ascontiguousarray(c_star, dtype=np.float64),
             int(horizon),
-        ),
-    )
-
-
-def bootstrap_deviations_batch(psi, shocks):
-    """Batched :func:`bootstrap_deviations`: ``psi`` ``(B, H)``, shocks ``(B, P, H)``."""
-    psi = np.ascontiguousarray(psi, dtype=np.float64)
-    return _timed_batch(
-        "bootstrap_deviations_batch",
-        psi.shape[0],
-        (
-            psi,
-            np.ascontiguousarray(shocks, dtype=np.float64),
         ),
     )

@@ -29,7 +29,15 @@ from scipy import signal
 from ..core.fourier import fourier_terms
 from ..core.timeseries import TimeSeries
 from ..exceptions import DataError, ModelError
-from .arima import Arima, ArimaOrder, FittedArima, SeasonalOrder, _polys, _warmup
+from .arima import (
+    Arima,
+    ArimaOrder,
+    FittedArima,
+    SeasonalOrder,
+    _observations,
+    _polys,
+    _warmup,
+)
 from .base import Forecast, ForecastModel, check_series
 from .polynomials import difference_poly, polymul
 
@@ -70,6 +78,12 @@ class FittedSarimax(FittedArima):
         suffix = f"{self.order}" if self.seasonal.is_null else f"{self.order}{self.seasonal}"
         return f"{' '.join(parts)} {suffix}"
 
+    # Stored by Sarimax.fit and extended by ``advance``: the shock
+    # regressor rows of ``train``. Unannotated, so it is a class
+    # attribute rather than a dataclass field and stays out of repr and
+    # equality.
+    _train_exog = None
+
     def _future_fourier(self, horizon: int) -> np.ndarray | None:
         if not self.fourier_periods:
             return None
@@ -80,6 +94,28 @@ class FittedSarimax(FittedArima):
             start=len(self.train),
         )
 
+    def _future_design(self, rows: int, exog, what: str) -> np.ndarray | None:
+        """The regressor rows that follow ``train``: shock block, then Fourier."""
+        blocks: list[np.ndarray] = []
+        if self.exog_columns:
+            if exog is None:
+                raise ModelError(
+                    "this SARIMAX was fitted with exogenous regressors; "
+                    f"pass {what} with their values for the next {rows} steps"
+                )
+            X = _as_matrix(exog, rows, what)
+            if X.shape[1] != self.exog_columns:
+                raise ModelError(
+                    f"{what} has {X.shape[1]} columns, model expects {self.exog_columns}"
+                )
+            blocks.append(X)
+        elif exog is not None and np.asarray(exog).size:
+            raise ModelError("model was fitted without exogenous regressors")
+        fourier = self._future_fourier(rows)
+        if fourier is not None:
+            blocks.append(fourier)
+        return np.hstack(blocks) if blocks else None
+
     def forecast(
         self,
         horizon: int,
@@ -88,36 +124,38 @@ class FittedSarimax(FittedArima):
     ) -> Forecast:
         """Forecast ``horizon`` steps; future shock indicators go in
         ``exog_future`` (required when the model was fitted with exog)."""
-        n_shock_cols = self.exog_columns
-        blocks: list[np.ndarray] = []
-        if n_shock_cols:
-            if exog_future is None:
-                raise ModelError(
-                    "this SARIMAX was fitted with exogenous regressors; "
-                    "pass exog_future with their future values"
-                )
-            Xf = _as_matrix(exog_future, horizon, "exog_future")
-            if Xf.shape[1] != n_shock_cols:
-                raise ModelError(
-                    f"exog_future has {Xf.shape[1]} columns, model expects {n_shock_cols}"
-                )
-            blocks.append(Xf)
-        elif exog_future is not None and np.asarray(exog_future).size:
-            raise ModelError("model was fitted without exogenous regressors")
-        fourier_future = self._future_fourier(horizon)
-        if fourier_future is not None:
-            blocks.append(fourier_future)
-
-        z_train = self.train.values
-        if blocks or self.beta.size:
-            z_train = z_train - self._design_for_train() @ self.beta
-        mean, std = self._forecast_adjusted(z_train, horizon)
-        if blocks:
-            mean = mean + np.hstack(blocks) @ self.beta
-        elif self.beta.size:
-            # Fourier-only model still needs the future regression part.
-            pass
+        design = self._future_design(horizon, exog_future, "exog_future")
+        mean, std = self._forecast_adjusted(horizon)
+        if design is not None:
+            mean = mean + design @ self.beta
         return self.make_forecast(mean, std, alpha)
+
+    def advance(
+        self, values: np.ndarray, exog: np.ndarray | None = None
+    ) -> tuple["FittedSarimax", np.ndarray]:
+        """Roll the origin through new observations on the regression-adjusted scale.
+
+        The ARMA state continues through ``values − X β``, where X holds
+        the new rows' regressors: ``exog`` (one row per new observation,
+        required when the model was fitted with shock regressors) and the
+        Fourier terms that continue ``train``'s phase. Innovations are
+        therefore the one-step errors of the forecast this model serves.
+        The rolled model's shock regressor block grows by the ``exog``
+        rows, so it forecasts like a fit on the extended series.
+        """
+        raw = _observations(values)
+        design = self._future_design(raw.size, exog, "exog")
+        z_new = raw - design @ self.beta if design is not None else raw
+        rolled, innovations = self._roll(raw, z_new)
+        if self._train_exog is not None:
+            rolled._train_exog = np.vstack([self._train_exog, design[:, : self.exog_columns]])
+        return rolled, innovations
+
+    def _adjusted_train(self) -> np.ndarray:
+        """``train`` minus its regression part, the series the ARMA part models."""
+        if not self.beta.size:
+            return self.train.values
+        return self.train.values - self._design_for_train() @ self.beta
 
     def _design_for_train(self) -> np.ndarray:
         """Rebuild the training design matrix (exog part is cached)."""
@@ -135,9 +173,6 @@ class FittedSarimax(FittedArima):
         if not blocks:
             return np.empty((len(self.train), 0))
         return np.hstack(blocks)
-
-    # Stored by Sarimax.fit; not a dataclass field to keep repr small.
-    _train_exog: np.ndarray | None = None
 
 
 class Sarimax(ForecastModel):

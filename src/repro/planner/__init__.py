@@ -30,8 +30,10 @@ from .scoring import (
     BlueprintScore,
     ForecastBand,
     InstanceDemand,
+    RankingJob,
     ScoreWeights,
     demands_from_entries,
+    rank_blueprint_block,
     rank_blueprints,
     score_blueprint,
 )
@@ -53,6 +55,8 @@ __all__ = [
     "BlueprintScore",
     "score_blueprint",
     "rank_blueprints",
+    "RankingJob",
+    "rank_blueprint_block",
     "demands_from_entries",
     "ReconciledLevel",
     "ReconciledEstate",

@@ -5,11 +5,14 @@ streaming scheduler already turns forecasts into debounced alerts; this
 turns the alerts that *stay* bad into concrete provisioning proposals.
 Each tick it feeds the advisory/alert/refit evidence into a
 :class:`~repro.planner.triggers.TriggerTracker`; for every key whose
-triggers fire it asks the scheduler for the exact forecast distribution
-the alert path is grading (:meth:`ForecastScheduler.planning_view`),
-enumerates and scores candidate blueprints against it, and emits the
-best as a :class:`PlanProposal` through the existing alert-sink protocol
-— a proposal is an operator event, it rides the same channel.
+triggers fire it takes the forecast band the alert path graded this tick
+(:meth:`ForecastScheduler.planning_view`, which re-serves the graded
+band instead of forecasting again) and enumerates candidate blueprints.
+All firing keys' candidates are scored together as one ``(ΣC, H)``
+block (:func:`~repro.planner.scoring.rank_blueprint_block`), and each
+key's best is emitted as a :class:`PlanProposal` through the existing
+alert-sink protocol — a proposal is an operator event, it rides the
+same channel.
 
 Proposals are deterministic: the evidence is per-key (so shards agree
 with a single process), candidates rank with slug-stable tie-breaks, and
@@ -36,10 +39,10 @@ from .blueprint import (
 )
 from .scoring import (
     BlueprintScore,
-    ForecastBand,
     InstanceDemand,
+    RankingJob,
     ScoreWeights,
-    rank_blueprints,
+    rank_blueprint_block,
 )
 from .triggers import TriggerPolicy, TriggerTracker
 
@@ -140,62 +143,62 @@ class PlanEscalator:
                 scheduler.workload_key(window.instance, window.metric), window.value
             )
 
-        emitted: list[PlanProposal] = []
+        # Every firing key's band is the one the tick graded; all their
+        # candidates are scored in one block, proposals emit in key order.
+        jobs: list[RankingJob] = []
+        firing = []
         for wkey in sorted(tick.advisories):
             reasons = self.tracker.firing(wkey, now)
             if not reasons:
                 continue
             self.trace.count("plan_triggers_fired")
-            proposal = self.propose(scheduler, wkey, reasons, now)
-            if proposal is None:
+            view = scheduler.planning_view(wkey.workload, wkey.metric)
+            if view is None:
                 continue
+            band, threshold = view
+            demand = InstanceDemand(
+                instance=wkey.workload,
+                tier=self.current_tier,
+                bands={wkey.metric: band},
+                capacities={wkey.metric: float(threshold)},
+            )
+            candidates = enumerate_blueprints(
+                wkey.workload,
+                self.current_tier,
+                self.catalog,
+                max_replicas=self.max_replicas,
+            )
+            jobs.append(RankingJob(candidates, [demand]))
+            firing.append((wkey, reasons, demand))
+
+        emitted: list[PlanProposal] = []
+        rankings = rank_blueprint_block(jobs, self.weights)
+        for (wkey, reasons, demand), ranked in zip(firing, rankings):
+            self.trace.count("plan_blueprints_scored", len(ranked))
+            best, best_score = ranked[0]
+            baseline = next(
+                score
+                for bp, score in ranked
+                if bp.kind is BlueprintKind.STAY and bp.replicas == demand.replicas
+            )
+            band, threshold = demand.bands[wkey.metric], demand.capacities[wkey.metric]
+            finite = band.mean[np.isfinite(band.mean)]
+            peak = float(finite.max()) if finite.size else threshold
+            proposal = PlanProposal(
+                key=wkey,
+                at=float(now),
+                reasons=tuple(r.value for r in reasons),
+                blueprint=best,
+                score=best_score,
+                baseline_probability=float(baseline.breach_probability),
+                current_capacity=threshold,
+                forecast_peak=peak,
+                resolves_breach=bool(best_score.breach_probability < RESOLVED_PROBABILITY),
+            )
+            self.tracker.note_planned(wkey, now, planned_peak=peak)
+            self.trace.count("plan_proposals_emitted")
+            if self.sink is not None:
+                self.sink.emit(proposal)
             emitted.append(proposal)
         self.proposals.extend(emitted)
         return emitted
-
-    # ------------------------------------------------------------------
-    def propose(self, scheduler, wkey: WorkloadKey, reasons, now: float) -> PlanProposal | None:
-        """Score the key's blueprint space and emit the winner."""
-        view = scheduler.planning_view(wkey.workload, wkey.metric)
-        if view is None:
-            return None
-        forecast, threshold = view
-        band = ForecastBand.from_forecast(forecast)
-        demand = InstanceDemand(
-            instance=wkey.workload,
-            tier=self.current_tier,
-            bands={wkey.metric: band},
-            capacities={wkey.metric: float(threshold)},
-        )
-        candidates = enumerate_blueprints(
-            wkey.workload,
-            self.current_tier,
-            self.catalog,
-            max_replicas=self.max_replicas,
-        )
-        ranked = rank_blueprints(candidates, [demand], self.weights)
-        self.trace.count("plan_blueprints_scored", len(ranked))
-        best, best_score = ranked[0]
-        baseline = next(
-            score
-            for bp, score in ranked
-            if bp.kind is BlueprintKind.STAY and bp.replicas == demand.replicas
-        )
-        finite = band.mean[np.isfinite(band.mean)]
-        peak = float(finite.max()) if finite.size else float(threshold)
-        proposal = PlanProposal(
-            key=wkey,
-            at=float(now),
-            reasons=tuple(r.value for r in reasons),
-            blueprint=best,
-            score=best_score,
-            baseline_probability=float(baseline.breach_probability),
-            current_capacity=float(threshold),
-            forecast_peak=peak,
-            resolves_breach=bool(best_score.breach_probability < RESOLVED_PROBABILITY),
-        )
-        self.tracker.note_planned(wkey, now, planned_peak=peak)
-        self.trace.count("plan_proposals_emitted")
-        if self.sink is not None:
-            self.sink.emit(proposal)
-        return proposal

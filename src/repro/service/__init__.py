@@ -20,6 +20,7 @@ from .thresholds import (
     BreachPrediction,
     BreachSeverity,
     breach_probability_arrays,
+    breach_probability_block,
     predict_breach,
 )
 
@@ -36,6 +37,7 @@ __all__ = [
     "BreachSeverity",
     "predict_breach",
     "breach_probability_arrays",
+    "breach_probability_block",
     "CapacityRecommendation",
     "ShapeRecommendation",
     "recommend_capacity",

@@ -27,6 +27,7 @@ __all__ = [
     "BreachPrediction",
     "predict_breach",
     "predict_breach_arrays",
+    "breach_probability_block",
     "breach_probability_arrays",
 ]
 
@@ -60,7 +61,7 @@ class BreachPrediction:
         forecast breaches.
     probability:
         P(any step of the horizon exceeds the threshold), computed from
-        the band quantiles by :func:`breach_probability_arrays`. The
+        the band quantiles by :func:`breach_probability_block`. The
         first-crossing severity answers *when and how certainly*; this
         answers *how likely at all* — the quantity the provisioning
         planner's scorer optimises. ``NaN`` for degenerate forecasts.
@@ -130,20 +131,34 @@ def _check_alpha(alpha: float) -> None:
         raise DataError("alpha must be in (0, 1)")
 
 
-def _breach_probabilities(
-    mean: np.ndarray, upper: np.ndarray, thresholds: np.ndarray, alpha: float
+def breach_probability_block(
+    mean: np.ndarray, upper: np.ndarray, thresholds, alpha: float = 0.05
 ) -> np.ndarray:
     """Per-row P(any step exceeds its row's threshold) over a ``(B, H)`` block.
 
-    Each step's predictive sigma is recovered from the half-width
-    ``upper - mean = z * sigma`` and its exceedance is the normal tail
-    ``ndtr(-margin)``. A step where the mean or upper band is not finite
-    contributes a survival factor of exactly 1.0; because numpy's
-    multiply-reduce runs in order along the row (add, unlike multiply,
-    sums pairwise), each row's product is bit-identical to the product
-    over that row's finite steps alone. A row with no finite step is
-    ``NaN``.
+    The models' intervals are Gaussian quantiles
+    (:meth:`~repro.models.base.FittedModel.make_forecast`): the half-width
+    ``upper - mean`` is ``z_{1-alpha/2} * sigma``, so each step's
+    predictive sigma is recoverable from the band alone and its
+    exceedance is the normal tail ``ndtr(-margin)``. Steps combine as
+    independent exceedances, ``1 - prod(1 - p_t)``. A step where the
+    mean or upper band is not finite contributes a survival factor of
+    exactly 1.0; because numpy's multiply-reduce runs in order along the
+    row (add, unlike multiply, sums pairwise), each row's product is
+    bit-identical to the product over that row's finite steps alone, so
+    NaN-padding a short row changes nothing. A row with no finite step
+    is ``NaN``; a zero-width band (zero residual variance) is a point
+    mass, so each step contributes exactly 0 or 1.
+
+    The alert path (:func:`predict_breach_arrays`) and the planner's
+    block scorer both grade through this one implementation.
     """
+    thresholds = np.asarray(thresholds, dtype=float)
+    if not np.isfinite(thresholds).all():
+        raise DataError("threshold must be finite")
+    _check_alpha(alpha)
+    mean = np.asarray(mean, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     finite = np.isfinite(mean) & np.isfinite(upper)
     threshold = thresholds[:, None]
     steps = np.where(finite & (mean >= threshold), 1.0, 0.0)
@@ -166,29 +181,14 @@ def breach_probability_arrays(
 ) -> float:
     """P(any step of the horizon exceeds ``threshold``), from band quantiles.
 
-    The models' intervals are Gaussian quantiles
-    (:meth:`~repro.models.base.FittedModel.make_forecast`): the half-width
-    ``upper - mean`` is ``z_{1-alpha/2} * sigma``, so each step's
-    predictive sigma is recoverable from the band alone and the step's
-    breach probability is a normal tail. Steps combine as independent
-    exceedances, ``1 - prod(1 - p_t)`` — the horizon-level number the
-    provisioning planner's scorer minimises and :func:`predict_breach`
-    reports alongside the first-crossing severity. It is the one-row case
-    of the block computation :func:`predict_breach_arrays` runs, so both
-    consumers share one implementation.
-
-    Degenerate inputs grade safe: no finite step yields ``NaN``; a
-    zero-width band (zero residual variance) is a point mass, so each
-    step contributes exactly 0 or 1.
+    The one-row case of :func:`breach_probability_block` — the
+    horizon-level number :func:`predict_breach` reports alongside the
+    first-crossing severity. Degenerate inputs grade safe: no finite
+    step yields ``NaN``; a zero-width band is a point mass.
     """
-    if not np.isfinite(threshold):
-        raise DataError("threshold must be finite")
-    _check_alpha(alpha)
     mean = np.asarray(mean, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    probability = _breach_probabilities(
-        mean[None, :], upper[None, :], np.array([threshold], dtype=float), alpha
-    )
+    probability = breach_probability_block(mean[None, :], upper[None, :], [threshold], alpha)
     return float(probability[0])
 
 
@@ -247,7 +247,7 @@ def predict_breach_arrays(
     # -0.0 limit, so those rows take their one-row max.
     for i in np.flatnonzero((peak == 0.0) & (limits == 0.0)).tolist():
         headroom[i] = float(limits[i] - mean[i][finite[i]].max())
-    probability = _breach_probabilities(mean, upper, limits, alpha).tolist()
+    probability = breach_probability_block(mean, upper, limits, alpha).tolist()
     bands = (
         [
             (BreachSeverity.CERTAIN, *_first_crossings(lower, limits)),

@@ -411,20 +411,18 @@ class StreamRuntime:
         with planning disabled too (empty trigger state) — a one-shot
         estate plan does not require the escalation loop.
         """
-        from ..planner.scoring import ForecastBand
-
         keys = []
         for instance, metric in self.scheduler.planning_keys():
             view = self.scheduler.planning_view(instance, metric)
             if view is None:
                 continue
-            forecast, threshold = view
+            band, threshold = view
             keys.append(
                 {
                     "instance": instance,
                     "metric": metric,
                     "threshold": float(threshold),
-                    "band": ForecastBand.from_forecast(forecast).payload(),
+                    "band": band.payload(),
                 }
             )
         triggers = (

@@ -8,14 +8,16 @@ finalised hourly window is one heartbeat:
    the :class:`~repro.service.estate.EstatePlanner` and selected;
 3. every subsequent window **rolls the stored model's state forward**
    instead of refitting: the window's observations run through the
-   model's one-step filter (``advance``), the forecast origin moves to
-   the stream head, and staleness becomes a cheap per-key drift check —
-   a two-sided CUSUM on the standardized one-step innovations the roll
-   produces for free (:mod:`repro.stream.drift`) plus the weekly-expiry
-   and data-growth rules. Only a *tripped* check queues a re-selection,
-   so the expensive grid runs on real regime change, not on a timer.
-   Models that cannot roll (exogenous-regressor fits, models without an
-   ``advance``) stay on the legacy monitor-based observe path;
+   model's one-step filter (``advance``; ARIMA/SARIMA continue the CSS
+   filter from O(1) rolled state, never re-filtering the history), the
+   forecast origin moves to the stream head, and staleness becomes a
+   cheap per-key drift check — a two-sided CUSUM on the standardized
+   one-step innovations the roll produces for free
+   (:mod:`repro.stream.drift`) plus the weekly-expiry and data-growth
+   rules. Only a *tripped* check queues a re-selection, so the expensive
+   grid runs on real regime change, not on a timer. Models that cannot
+   roll (exogenous-regressor fits, models without an ``advance``) stay
+   on the legacy monitor-based observe path;
 4. queued re-selections run through the planner's
    :meth:`~repro.service.estate.EstatePlanner.report`, fanning out on the
    injected :class:`~repro.engine.executor.Executor` and consulting the
@@ -26,17 +28,20 @@ finalised hourly window is one heartbeat:
    *from the current watermark onwards* (the part of the horizon still in
    the future), producing the advisories the alerting layer debounces.
    Grading thinks in **cohorts**: keys whose winning models share an
-   exponential-smoothing or day-profile spec and forecast window are
-   forecast in one batched ``(batch, horizon)`` kernel call
-   (:func:`repro.models.ets.forecast_cohort_arrays`, or the day-profile
-   twin) and the whole block is graded in one array pass
-   (:func:`repro.service.thresholds.predict_breach_arrays`), bit-identical
-   to grading each key alone. Families that cannot join a cohort
-   (ARIMA/SARIMA, TBATS, shock-regressor fits) grade one key at a time
+   exponential-smoothing or day-profile spec, or a plain ARIMA/SARIMA
+   order, and a forecast window are forecast in one batched ``(batch,
+   horizon)`` kernel call (:func:`repro.models.ets.forecast_cohort_arrays`
+   and its day-profile and ARIMA twins) and the whole block is graded in
+   one array pass (:func:`repro.service.thresholds.predict_breach_arrays`),
+   bit-identical to grading each key alone. Families that cannot join a
+   cohort (TBATS, regression SARIMAX fits) grade one key at a time
    through :func:`~repro.service.thresholds.predict_breach`, the block
    grader's one-row case.
    An advisory memo per key skips the forecast entirely while (model
-   state, elapsed offset, threshold) are unchanged.
+   state, elapsed offset, threshold) are unchanged. It also keeps the
+   band it graded, which :meth:`ForecastScheduler.planning_view` hands to
+   the plan escalator and the estate planner, so a tick forecasts each
+   key once.
 
 The scheduler never sleeps and never reads the wall clock directly: time
 is the injected :class:`~repro.stream.clock.Clock`, falling back to the
@@ -76,6 +81,7 @@ from ..core.timeseries import TimeSeries
 from ..engine.executor import Executor
 from ..engine.telemetry import RunTrace
 from ..exceptions import DataError
+from ..models.arima import FittedArima, forecast_cohort_arrays as arima_forecast_cohort_arrays
 from ..models.base import Forecast
 from ..models.dayprofile import (
     DayProfile,
@@ -85,6 +91,7 @@ from ..models.dayprofile import (
 )
 from ..models.ets import FittedExpSmoothing, advance_cohort, forecast_cohort_arrays
 from ..models.naive import Naive, SeasonalNaive
+from ..planner.scoring import ForecastBand
 from ..selection.auto import SelectionOutcome
 from ..selection.staleness import (
     WEEK_SECONDS,
@@ -188,7 +195,7 @@ class _CachedModel:
     """Fallback rung 1: the key's last good outcome, kept for degraded grading.
 
     Duck-typed against :class:`~repro.service.estate.EstateEntry` for the
-    two attributes :meth:`ForecastScheduler._grade_entry` reads.
+    two attributes degraded grading reads, ``outcome`` and ``threshold``.
     """
 
     outcome: object
@@ -217,19 +224,26 @@ class _LiveModel:
 
 @dataclass
 class _CachedAdvisory:
-    """Memo of one key's last grading, valid while nothing moved.
+    """Memo of one key's last grading and the band it graded.
 
     A grading is a pure function of (model state identity, elapsed
     windows since the forecast origin, threshold); ticks that close no
     new window for a key re-serve the memo instead of re-running the
-    forecast. Any roll or refit replaces the model object, so identity
-    comparison is the exact invalidation rule.
+    forecast, and :meth:`ForecastScheduler.planning_view` serves the
+    graded ``mean``/``upper`` band rows (clipped, still-future part) to
+    the planner. Any roll or refit replaces the model object, so
+    identity comparison is the exact invalidation rule.
     """
 
     model: object
     elapsed: int
     threshold: float
     advisory: BreachPrediction
+    mean: np.ndarray
+    upper: np.ndarray
+
+    def serves(self, model, elapsed: int, threshold: float) -> bool:
+        return self.model is model and self.elapsed == elapsed and self.threshold == threshold
 
 
 @dataclass(frozen=True)
@@ -239,13 +253,29 @@ class _CohortJob:
     kid: int
     wkey: WorkloadKey
     entry: object
-    model: FittedExpSmoothing | FittedDayProfile
+    model: FittedExpSmoothing | FittedDayProfile | FittedArima
     base_horizon: int
     elapsed: int
 
 
 #: Sentinel: the advisory will be produced by the cohort pass instead.
 _DEFERRED = object()
+
+
+def _cohort_family(model) -> tuple[str, object] | None:
+    """(cohort forecaster, spec) of a model that grades in cohorts, else ``None``.
+
+    Keys whose models share both grade as one batched forecast block.
+    Regression SARIMAX fits (a subclass of :class:`FittedArima`) need
+    their own future design matrix and grade one at a time.
+    """
+    if isinstance(model, FittedExpSmoothing):
+        return "ets", model.spec
+    if isinstance(model, FittedDayProfile):
+        return "dayprofile", model.spec
+    if type(model) is FittedArima:
+        return "arima", (model.order, model.seasonal)
+    return None
 
 
 class ForecastScheduler:
@@ -800,28 +830,36 @@ class ForecastScheduler:
     def _grade_healthy(self, kid, wkey, entry, now, deferred):
         """Grade one modelled key, via memo, cohort deferral or scalar path."""
         outcome = entry.outcome
-        live = self._live.get(kid)
-        model = live.model if live is not None and live.source is outcome else outcome.model
+        model = self._serving_model(kid, outcome)
         base_horizon, elapsed = self._grading_window(model, now)
         if base_horizon is None:
             return None  # zero lookahead: grading disabled, not defaulted
         memo = self._advisory_memo.get(kid)
-        if (
-            memo is not None
-            and memo.model is model
-            and memo.elapsed == elapsed
-            and memo.threshold == entry.threshold
-        ):
+        if memo is not None and memo.serves(model, elapsed, entry.threshold):
             self.trace.count("stream_advisory_cache_hits")
             return memo.advisory
-        if not outcome.uses_exog and isinstance(model, (FittedExpSmoothing, FittedDayProfile)):
+        if not outcome.uses_exog and _cohort_family(model) is not None:
             deferred.append(_CohortJob(kid, wkey, entry, model, base_horizon, elapsed))
             return _DEFERRED
-        advisory = self._grade_entry(entry, now, model=model)
-        if advisory is not None:
-            self._advisory_memo[kid] = _CachedAdvisory(
-                model, elapsed, entry.threshold, advisory
-            )
+        return self._grade_alone(kid, entry, model, elapsed, now)
+
+    def _serving_model(self, kid: int, outcome: SelectionOutcome):
+        """The key's rolled model when its chain started from ``outcome``, else the fit."""
+        live = self._live.get(kid)
+        return live.model if live is not None and live.source is outcome else outcome.model
+
+    def _grade_alone(self, kid, entry, model, elapsed, now) -> BreachPrediction:
+        """Grade one key's remaining forecast alone and memoise the graded band.
+
+        Grading only the still-future part makes advisories evolve
+        between refits — a predicted breach draws nearer step by step,
+        which is what the alerting layer's escalation keys off.
+        """
+        forecast = self._entry_forecast(entry, now, model=model)
+        advisory = predict_breach(forecast, entry.threshold)
+        self._advisory_memo[kid] = _CachedAdvisory(
+            model, elapsed, entry.threshold, advisory, forecast.mean.values, forecast.upper.values
+        )
         return advisory
 
     def _grade_cohorts(
@@ -838,32 +876,34 @@ class ForecastScheduler:
         part and graded in one array pass through
         :func:`predict_breach_arrays` — bit-identical to the scalar
         path. Smoothing cohorts go through the ETS kernel, day-profile
-        cohorts through the centroid-gather kernel. If the batched
-        forecast fails, the cohort's rows are graded one by one so a
-        sick key cannot silence its peers.
+        cohorts through the centroid-gather kernel and ARIMA/SARIMA
+        cohorts through the batched difference-equation kernel. If the
+        batched forecast fails, the cohort's rows are graded one by one
+        so a sick key cannot silence its peers.
         """
+        # Looked up per call: module-level names, so a wrapper installed
+        # on this module sees every cohort forecast.
+        forecasters = {
+            "ets": forecast_cohort_arrays,
+            "dayprofile": dayprofile_forecast_cohort_arrays,
+            "arima": arima_forecast_cohort_arrays,
+        }
         groups: dict[tuple, list[_CohortJob]] = {}
         for job in deferred:
-            model = job.model
-            groups.setdefault(
-                (type(model), model.spec, job.base_horizon, job.elapsed, model.train.frequency),
-                [],
-            ).append(job)
-        for (mtype, __, base_horizon, elapsed, frequency), jobs in groups.items():
-            batched = (
-                dayprofile_forecast_cohort_arrays
-                if mtype is FittedDayProfile
-                else forecast_cohort_arrays
-            )
+            cohort = (_cohort_family(job.model), job.base_horizon, job.elapsed)
+            groups.setdefault((*cohort, job.model.train.frequency), []).append(job)
+        for ((family, __), base_horizon, elapsed, frequency), jobs in groups.items():
+            batched = forecasters[family]
             try:
                 mean, lower, upper = batched(
                     [job.model for job in jobs], base_horizon + elapsed
                 )
             except Exception:
                 for job in jobs:
-                    self._finish_grading(
-                        job, elapsed, self._grade_entry(job.entry, now, model=job.model), advisories
+                    advisories[job.wkey] = self._grade_alone(
+                        job.kid, job.entry, job.model, elapsed, now
                     )
+                    self.trace.count("stream_advisories_graded")
                 continue
             self.trace.count("stream_cohorts_dispatched")
             self.trace.count("stream_cohort_rows", len(jobs))
@@ -883,17 +923,12 @@ class ForecastScheduler:
                 float(sec),
                 [job.entry.threshold for job in jobs],
             )
-            for job, advisory in zip(jobs, graded):
-                self._finish_grading(job, elapsed, advisory, advisories)
-
-    def _finish_grading(self, job, elapsed, advisory, advisories) -> None:
-        if advisory is None:
-            return
-        self._advisory_memo[job.kid] = _CachedAdvisory(
-            job.model, elapsed, job.entry.threshold, advisory
-        )
-        advisories[job.wkey] = advisory
-        self.trace.count("stream_advisories_graded")
+            for i, (job, advisory) in enumerate(zip(jobs, graded)):
+                self._advisory_memo[job.kid] = _CachedAdvisory(
+                    job.model, elapsed, job.entry.threshold, advisory, mean[i], upper[i]
+                )
+                advisories[job.wkey] = advisory
+            self.trace.count("stream_advisories_graded", len(jobs))
 
     def _grade_degraded(
         self, kid: int, threshold: float, now: float
@@ -902,7 +937,10 @@ class ForecastScheduler:
         cached = self._fallback.get(kid)
         if cached is not None:
             try:
-                advisory = self._grade_entry(cached, now)
+                forecast = self._entry_forecast(cached, now)
+                advisory = (
+                    None if forecast is None else predict_breach(forecast, cached.threshold)
+                )
             except Exception:
                 advisory = None  # sick cached model: fall through a rung
             if advisory is not None:
@@ -995,18 +1033,6 @@ class ForecastScheduler:
             )
         return forecast
 
-    def _grade_entry(self, entry, now: float, model=None) -> BreachPrediction | None:
-        """Grade a live model's remaining forecast against its threshold.
-
-        Grading only the still-future part makes advisories evolve
-        between refits — a predicted breach draws nearer step by step,
-        which is what the alerting layer's escalation keys off.
-        """
-        forecast = self._entry_forecast(entry, now, model=model)
-        if forecast is None:
-            return None
-        return predict_breach(forecast, entry.threshold)
-
     # ------------------------------------------------------------------
     # Planning support
     # ------------------------------------------------------------------
@@ -1019,15 +1045,18 @@ class ForecastScheduler:
             if key[1] in self.thresholds
         )
 
-    def planning_view(self, instance: str, metric: str) -> tuple[Forecast, float] | None:
-        """(remaining forecast, current capacity) for the planner's scorer.
+    def planning_view(self, instance: str, metric: str) -> tuple[ForecastBand, float] | None:
+        """(remaining forecast band, current capacity) for the planner's scorer.
 
-        Returns exactly the distribution the alert path is grading this
-        tick — same model state, same elapsed slice, same clipping — so
-        a plan scored from it agrees with the advisory that triggered
-        it. Falls back to the degradation ladder's cached model when
-        selection is unavailable; ``None`` when the key has no
-        threshold, no model, or grading is disabled.
+        Returns exactly the band the alert path is grading this tick —
+        same model state, same elapsed slice, same clipping — so a plan
+        scored from it agrees with the advisory that triggered it. A
+        key graded under the advisory memo's rule (same model object,
+        elapsed offset and threshold) is served the memo's band, with no
+        forecast; otherwise (a degraded key, a call between ticks) the
+        band is forecast afresh. Falls back to the degradation ladder's
+        cached model when selection is unavailable; ``None`` when the key
+        has no threshold, no model, or grading is disabled.
         """
         kid = self.key_table.id_of(instance, metric)
         threshold = self.thresholds.get(metric)
@@ -1048,16 +1077,17 @@ class ForecastScheduler:
             entry = self._fallback.get(kid)
         if entry is None or entry.outcome is None:
             return None
-        live = self._live.get(kid)
-        model = (
-            live.model
-            if live is not None and live.source is entry.outcome
-            else entry.outcome.model
-        )
+        model = self._serving_model(kid, entry.outcome)
+        now = self._now()
+        __, elapsed = self._grading_window(model, now)
+        memo = self._advisory_memo.get(kid)
+        if memo is not None and memo.serves(model, elapsed, threshold):
+            # Grading forecasts at the default alpha, ForecastBand's default.
+            return ForecastBand(mean=memo.mean, upper=memo.upper), float(threshold)
         try:
-            forecast = self._entry_forecast(entry, self._now(), model=model)
+            forecast = self._entry_forecast(entry, now, model=model)
         except Exception:
             return None
         if forecast is None:
             return None
-        return forecast, float(threshold)
+        return ForecastBand.from_forecast(forecast), float(threshold)

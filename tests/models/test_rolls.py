@@ -13,10 +13,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import TimeSeries
+from repro.core import Frequency, TimeSeries
 from repro.exceptions import ModelError
-from repro.models import Arima, HoltWinters, Tbats
+from repro.models import Arima, HoltWinters, Sarimax, Tbats, kernels
+from repro.models import arima
+from repro.models.arima import ArimaOrder, FittedArima, SeasonalOrder
 from repro.models.ets import advance_cohort, forecast_cohort_arrays
 
 
@@ -59,9 +63,9 @@ def sarima_fit():
 
 
 def _cache_free(model):
-    """A copy of ``model`` that has not computed its lag polynomials yet."""
+    """A copy of ``model`` that has computed neither lag polynomials nor rolled state."""
     copy = dataclasses.replace(model)
-    assert copy._lags is None
+    assert copy._lags is None and copy._state is None
     return copy
 
 
@@ -136,10 +140,124 @@ class TestChunkedEqualsOneShot:
         _assert_same_forecast(tweaked.forecast(24), _cache_free(tweaked).forecast(24))
         # A refit has new coefficients and starts without a cache.
         refit = Arima((1, 0, 1), seasonal=(0, 1, 1, 24)).fit(model.train)
-        assert refit._lags is None
+        assert refit._lags is None and refit._state is None
         refit.forecast(24)
         assert refit._lags is not fit._lags
         assert refit._lags.coeffs is refit.coeffs
+        # A reassigned series rebuilds the rolled state from it.
+        moved = _cache_free(model)
+        moved.forecast(24)
+        moved.train = fit.train
+        _assert_same_forecast(moved.forecast(24), _cache_free(fit).forecast(24))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.integers(0, 2),
+        d=st.integers(0, 1),
+        q=st.integers(0, 2),
+        P=st.integers(0, 1),
+        D=st.integers(0, 1),
+        Q=st.integers(0, 1),
+        F=st.sampled_from([2, 4, 7]),
+        intercept=st.sampled_from([0.0, 0.7]),
+        chunks=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_arima_rolled_state(self, p, d, q, P, D, Q, F, intercept, chunks, seed):
+        # The rolled state is only a faster route to the same numbers: after
+        # every chunk, forecasts and the next chunk's innovations are bit
+        # for bit those of a model rebuilt on the extended series with the
+        # same coefficients, which re-filters the whole history.
+        rng = np.random.default_rng(seed)
+        order, seasonal = ArimaOrder(p, d, q), SeasonalOrder(P, D, Q, F)
+        n = 40 + 3 * F
+        y = 50.0 + np.cumsum(rng.normal(0.0, 1.0, n + sum(chunks)))
+        model = FittedArima(
+            train=TimeSeries(y[:n], Frequency.HOURLY, start=3600.0 * seed),
+            residuals=rng.normal(0.0, 1.0, n),
+            sigma2=float(rng.uniform(0.5, 2.0)),
+            n_params=p + q + P + Q + 1,
+            order=order,
+            seasonal=seasonal,
+            coeffs=rng.uniform(-0.45, 0.45, p + q + P + Q),
+            intercept=intercept,
+        )
+        pos = n
+        for size in chunks:
+            block = y[pos : pos + size]
+            pos += size
+            fresh, innov_fresh = _cache_free(model).advance(block)
+            model, innov = model.advance(block)
+            assert np.array_equal(innov, innov_fresh)
+            assert np.array_equal(model.residuals, fresh.residuals)
+            _assert_same_model(model, fresh)
+            for horizon in (1, 9):
+                _assert_same_forecast(model.forecast(horizon), _cache_free(model).forecast(horizon))
+        assert len(model.train) == pos
+
+
+def _sarima_cohort(size, seed=7):
+    """``size`` SARIMA (1,0,1)(0,1,1,24) fits of one order, at distinct states.
+
+    Each member gets its own series, coefficients, noise variance and
+    intercept, and some have rolled, so no two rows share a state.
+    """
+    rng = np.random.default_rng(seed)
+    base = Arima((1, 0, 1), seasonal=(0, 1, 1, 24)).fit(TimeSeries(_seasonal(seed, 336)))
+    members = []
+    for i in range(size):
+        y = _seasonal(seed + 1 + i, 360) + rng.uniform(-10.0, 10.0)
+        member = dataclasses.replace(
+            base,
+            train=TimeSeries(y[:336]),
+            coeffs=base.coeffs * rng.uniform(0.8, 1.1, base.coeffs.size),
+            sigma2=base.sigma2 * rng.uniform(0.5, 2.0),
+            intercept=float(rng.choice([0.0, rng.normal()])),
+        )
+        for __ in range(i % 3):
+            member, __ = member.advance(y[len(member.train) : len(member.train) + 2])
+        members.append(member)
+    return members
+
+
+class TestArimaCohort:
+    @pytest.mark.parametrize("size", [1, 3, 17])
+    def test_rows_match_forecast(self, size):
+        self._check(_sarima_cohort(size), horizon=24)
+
+    @pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba is not installed")
+    @pytest.mark.parametrize("size", [1, 3, 17])
+    def test_rows_match_forecast_on_numba(self, size):
+        before = kernels.active_backend()
+        kernels.set_backend("numba")
+        try:
+            self._check(_sarima_cohort(size), horizon=24)
+        finally:
+            kernels.set_backend(before)
+
+    @staticmethod
+    def _check(models, horizon):
+        mean, lower, upper = arima.forecast_cohort_arrays(models, horizon)
+        assert mean.shape == lower.shape == upper.shape == (len(models), horizon)
+        for i, model in enumerate(models):
+            fc = _cache_free(model).forecast(horizon)
+            assert np.array_equal(mean[i], fc.mean.values)
+            assert np.array_equal(lower[i], fc.lower.values)
+            assert np.array_equal(upper[i], fc.upper.values)
+            assert repr(model.forecast(horizon)) == repr(fc)
+
+    def test_mixed_orders_and_regression_fits_rejected(self):
+        (sarima,) = _sarima_cohort(1)
+        plain = Arima((1, 0, 0)).fit(sarima.train)
+        with pytest.raises(ModelError):
+            arima.forecast_cohort_arrays([sarima, plain], 4)
+        fourier = Sarimax(
+            (1, 0, 1), seasonal=(0, 1, 1, 24), fourier_periods=[168], fourier_orders=[1]
+        ).fit(sarima.train)
+        with pytest.raises(ModelError):
+            arima.forecast_cohort_arrays([fourier], 4)
+        with pytest.raises(ModelError):
+            arima.forecast_cohort_arrays([sarima], 0)
 
 
 class TestRollSemantics:

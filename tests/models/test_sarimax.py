@@ -178,3 +178,90 @@ class TestGls:
     def test_gls_iterations_validated(self):
         with pytest.raises(ModelError):
             Sarimax((1, 0, 0), gls_iterations=-1)
+
+
+class TestRolls:
+    """``advance`` on SARIMAX fits rolls on the regression-adjusted series."""
+
+    @staticmethod
+    def _weekly(n, seed=4):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        return (
+            60.0
+            + 8.0 * np.sin(2 * np.pi * t / 24)
+            + 6.0 * np.sin(2 * np.pi * t / 168)
+            + rng.normal(0.0, 1.0, n)
+        )
+
+    def test_fourier_innovations_are_one_step_errors(self):
+        from repro.stream.drift import CusumDetector
+
+        y = self._weekly(1008 + 48)
+        model = Sarimax(
+            (1, 0, 1), seasonal=(0, 1, 1, 24), fourier_periods=[168], fourier_orders=[2]
+        ).fit(TimeSeries(y[:1008]))
+        sigma = np.sqrt(model.sigma2)
+        detector = CusumDetector()
+        tripped = False
+        for t in range(1008, 1008 + 48):
+            error = y[t] - model.forecast(1).mean.values[0]
+            model, innovations = model.advance(y[t : t + 1])
+            assert innovations[0] == pytest.approx(error, abs=1e-9)
+            tripped = detector.update_many(innovations / sigma) or tripped
+        # The fit describes these 48 hours, so the drift check stays quiet.
+        assert not tripped
+        assert len(model.train) == 1008 + 48
+
+    def test_exog_roll_extends_the_regressor_block(self):
+        # A fit with shock regressors, rolled by 2 hours with their rows,
+        # forecasts like the same coefficients on the extended series.
+        import dataclasses
+
+        rng = np.random.default_rng(8)
+        y, __ = shocked_seasonal(1020)
+        shock = (rng.random(1020) < 0.05).astype(float)[:, None]
+        y = y + 25.0 * shock[:, 0]
+        fit = Sarimax((1, 0, 0), seasonal=(0, 1, 1, 24)).fit(
+            TimeSeries(y[:1008]), exog=shock[:1008]
+        )
+        rolled, innovations = fit.advance(y[1008:1010], exog=shock[1008:1010])
+        assert innovations.shape == (2,)
+        assert rolled._train_exog.shape == (1010, 1)
+        assert np.array_equal(rolled._train_exog, shock[:1010])
+        forecast = rolled.forecast(4, exog_future=shock[1010:1014])
+        rebuilt = dataclasses.replace(fit, train=rolled.train)
+        rebuilt._train_exog = shock[:1010]
+        expected = rebuilt.forecast(4, exog_future=shock[1010:1014])
+        assert np.allclose(forecast.mean.values, expected.mean.values, rtol=0, atol=1e-9)
+        assert np.array_equal(forecast.upper.values - forecast.mean.values,
+                              expected.upper.values - expected.mean.values)
+        # The first innovation is the one-step error of the served forecast.
+        one_step = fit.forecast(1, exog_future=shock[1008:1009]).mean.values[0]
+        assert innovations[0] == pytest.approx(y[1008] - one_step, abs=1e-9)
+
+    def test_exog_roll_requires_the_new_rows(self):
+        y, __ = shocked_seasonal(1010)
+        fit = Sarimax((1, 0, 0), seasonal=(0, 1, 1, 24)).fit(
+            TimeSeries(y[:1008]), exog=(np.arange(1008) % 7 == 0).astype(float)
+        )
+        with pytest.raises(ModelError, match="next 2 steps"):
+            fit.advance(y[1008:1010])
+        with pytest.raises(DataError):
+            fit.advance(y[1008:1010], exog=np.zeros((3, 1)))
+        plain = Sarimax((1, 0, 0), seasonal=(0, 1, 1, 24)).fit(TimeSeries(y[:1008]))
+        with pytest.raises(ModelError):
+            plain.advance(y[1008:1010], exog=np.ones((2, 1)))
+
+    def test_train_exog_is_not_a_field(self):
+        import dataclasses
+
+        from repro.models.sarimax import FittedSarimax
+
+        assert "_train_exog" not in {f.name for f in dataclasses.fields(FittedSarimax)}
+        y, __ = shocked_seasonal(1008)
+        fit = Sarimax((1, 0, 0), seasonal=(0, 1, 1, 24)).fit(
+            TimeSeries(y), exog=(np.arange(1008) % 7 == 0).astype(float)
+        )
+        assert fit._train_exog.shape == (1008, 1)
+        assert "_train_exog" not in repr(fit)

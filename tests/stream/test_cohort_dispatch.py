@@ -4,7 +4,7 @@ The scheduler's batched path exists purely as an execution strategy —
 every observable (advisory reprs, refit log, verdicts, cohort-neutral
 counters) must match the scalar grader exactly. The scalar oracle is the
 scheduler's own fallback: with the batched forecast kernel made to
-raise, every cohort job grades alone through ``_grade_entry``. These
+raise, every cohort job grades alone through ``_grade_alone``. These
 tests run the same window feed both ways with real Holt–Winters fits so
 rolls and cohort grading genuinely execute, then diff the outputs.
 """
