@@ -28,7 +28,7 @@ the pipeline stages call back into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -172,14 +172,36 @@ class SelectionOutcome:
 
         ``model`` is a rolled-forward copy of the winner (the streaming
         scheduler's live state). When the winner uses shock regressors,
-        their future matrix is built from the outcome's shock calendar.
+        their future rows come from the outcome's shock calendar.
         """
-        if model is None:
-            model = self.model
+        model = self.model if model is None else model
         if not self.uses_exog:
             return model.forecast(horizon, alpha=alpha)
-        exog_future = self.shock_calendar.future_matrix(horizon)[:, : self.best_spec.exog_columns]
-        return model.forecast(horizon, alpha=alpha, exog_future=exog_future)
+        return model.forecast(horizon, alpha=alpha, exog_future=self._shock_rows(model, horizon))
+
+    def advance(
+        self, values: np.ndarray, model: FittedModel | None = None
+    ) -> tuple[FittedModel, np.ndarray]:
+        """Roll the winner, or its rolled copy ``model``, through ``values``.
+
+        Returns ``(rolled model, one-step innovations)`` like the
+        family's ``advance``; a shock-regressor winner is handed the
+        calendar rows of the new observations.
+        """
+        model = self.model if model is None else model
+        if not self.uses_exog:
+            return model.advance(values)
+        return model.advance(values, exog=self._shock_rows(model, len(values)))
+
+    def _shock_rows(self, model: FittedModel, n: int) -> np.ndarray:
+        """Shock-regressor rows for the ``n`` steps after ``model``'s series.
+
+        The calendar counts samples from the start of the window the
+        winner was fitted on, which a rolled copy of it keeps, so the
+        rows continue from the model's own length.
+        """
+        calendar = replace(self.shock_calendar, n_train=len(model.train))
+        return calendar.future_matrix(n)[:, : self.best_spec.exog_columns]
 
     def spec_payload(self) -> dict:
         """The JSON-serialisable spec the repository stores for this winner.

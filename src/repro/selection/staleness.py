@@ -11,19 +11,23 @@ period". :class:`ModelMonitor` encodes those rules:
 * **accuracy**: each new batch of observations is compared against the
   model's forecast; when the rolling RMSE exceeds
   ``degradation_factor ×`` the RMSE recorded at selection time, the model
-  is declared stale;
+  is declared stale (observations with no finite forecast to compare
+  against are no evidence either way);
 * **data growth**: when the observation count grows by more than
   ``growth_factor`` relative to the training size, retraining is advised
   even if accuracy still holds.
 
 The rule order lives in :func:`staleness_verdict` alone. Its accuracy
-input is a flag, so the batch monitor (rolling RMSE) and the streaming
-scheduler (a CUSUM trip on roll innovations) share one precedence.
+input is a flag, so the batch
+:class:`~repro.service.planner.CapacityPlanner`'s monitor (rolling RMSE)
+and the streaming scheduler (a CUSUM trip on roll innovations) share one
+precedence.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +35,8 @@ import numpy as np
 from ..core.metrics import rmse
 from ..core.timeseries import TimeSeries
 from ..exceptions import DataError
-from ..models.base import FittedModel
+from ..models.base import FittedModel, Forecast
+from .auto import SelectionOutcome
 
 __all__ = ["StalenessVerdict", "StalenessReason", "ModelMonitor", "staleness_verdict"]
 
@@ -129,12 +134,29 @@ class ModelMonitor:
     growth_factor: float = GROWTH_FACTOR
     _observed: list[float] = field(default_factory=list, repr=False)
     _forecast_cache: np.ndarray | None = field(default=None, repr=False)
+    #: ``horizon -> Forecast`` the observations are compared against.
+    _forecast: Callable[[int], Forecast] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.baseline_rmse < 0:
             raise DataError("baseline_rmse must be non-negative")
         if self.fitted_at is None:
             self.fitted_at = self.model.train.end
+        self._forecast = self.model.forecast
+
+    @classmethod
+    def for_outcome(cls, outcome: SelectionOutcome, **kwargs) -> ModelMonitor:
+        """Watch a selection winner against :meth:`SelectionOutcome.forecast`.
+
+        The baseline is the outcome's test RMSE; ``kwargs`` are the other
+        fields. A shock-regressor winner forecasts only with its
+        calendar's future rows, which the outcome builds.
+        """
+        monitor = cls(model=outcome.model, baseline_rmse=outcome.test_rmse, **kwargs)
+        monitor._forecast = outcome.forecast
+        return monitor
 
     # ------------------------------------------------------------------
     def observe(self, values: "np.ndarray | list[float] | TimeSeries") -> None:
@@ -154,8 +176,11 @@ class ModelMonitor:
             return None
         n = len(self._observed)
         if self._forecast_cache is None or self._forecast_cache.size < n:
-            self._forecast_cache = self.model.forecast(n).mean.values
-        return rmse(np.asarray(self._observed), self._forecast_cache[:n])
+            self._forecast_cache = self._forecast(n).mean.values
+        observed, predicted = np.asarray(self._observed), self._forecast_cache[:n]
+        if not (np.isfinite(observed) & np.isfinite(predicted)).any():
+            return None  # nothing scoreable yet: no accuracy evidence
+        return rmse(observed, predicted)
 
     def check(self, now: float | None = None) -> StalenessVerdict:
         """Evaluate all staleness rules; first triggered rule wins."""

@@ -39,7 +39,6 @@ from ..engine.executor import Executor, SerialExecutor
 from ..engine.telemetry import RunTrace
 from ..exceptions import DataError, SelectionError
 from ..selection.auto import AutoConfig, SelectionOutcome, auto_select
-from ..selection.staleness import StalenessVerdict
 from ..shocks.faults import FaultPolicy, FaultVerdict, discard_faults
 from .selection_cache import SelectionCache
 from .thresholds import BreachPrediction, BreachSeverity, predict_breach
@@ -222,10 +221,10 @@ class EstatePlanner:
         The estate's :class:`~repro.service.selection_cache.SelectionCache`
         implementing the paper's reuse-for-one-week rule: re-registering
         an unchanged (workload, metric) series re-uses the stored
-        selection outcome (zero grid fits) until its staleness monitor
-        declares it expired, degraded or outgrown. ``None`` builds a
-        fresh cache; pass a shared instance to pool reuse across
-        planners.
+        selection outcome (zero grid fits) until whoever serves the
+        model invalidates it as expired, degraded or outgrown (the
+        streaming scheduler's staleness check). ``None`` builds a fresh
+        cache; pass a shared instance to pool reuse across planners.
     """
 
     def __init__(
@@ -272,9 +271,9 @@ class EstatePlanner:
 
         The bulk-seeding path (restarts, benchmarks): the entry lands
         ``MODELLED`` immediately and the outcome is stored in the
-        selection cache, so the staleness monitor governs its lifecycle
-        exactly as if :meth:`report` had selected it here. No advisory
-        is attached — the streaming scheduler grades on its own clock.
+        selection cache, so the normal lifecycle rules govern it exactly
+        as if :meth:`report` had selected it here. No advisory is
+        attached — the streaming scheduler grades on its own clock.
         """
         key = self.register(customer, workload, metric, series, threshold=threshold)
         entry = self._entries[key]
@@ -347,10 +346,10 @@ class EstatePlanner:
         report down (it lands in ``failed``).
 
         Pending workloads first consult the selection cache: an entry
-        whose series and config fingerprints match a stored, still-fresh
-        outcome is modelled from the cache (zero grid fits, counted as
-        ``selection_cache_hits``); everything else runs a fresh selection
-        and is stored for next time.
+        whose series and config fingerprints match a stored (not yet
+        invalidated) outcome is modelled from the cache (zero grid fits,
+        counted as ``selection_cache_hits``); everything else runs a
+        fresh selection and is stored for next time.
         """
         if not self._entries:
             raise DataError("no workloads registered")
@@ -424,26 +423,6 @@ class EstatePlanner:
         entry.trace = None
         entry.seconds = 0.0
         _advise(entry, outcome, self.horizon)
-
-    def observe(self, key: WorkloadKey, values) -> StalenessVerdict | None:
-        """Feed fresh monitored observations to ``key``'s stored model.
-
-        Implements the paper's model-lifecycle rule at estate scope: the
-        observations update the cached outcome's staleness monitor, and a
-        stale verdict (older than a week, RMSE degraded beyond the
-        monitor's factor, or significant data growth) evicts the cache
-        record and resets the workload to ``PENDING`` so the next
-        :meth:`report` re-selects from scratch. Returns the verdict, or
-        ``None`` when nothing is cached for ``key``.
-        """
-        if key not in self._entries:
-            raise DataError(f"unknown workload {key}")
-        verdict = self.cache.observe(key, values)
-        if verdict is not None and verdict.stale:
-            entry = self._entries[key]
-            entry.status = WorkloadStatus.PENDING
-            entry.detail = f"re-selection required: {verdict.describe()}"
-        return verdict
 
     def run(self) -> EstateReport:
         """Backwards-compatible alias for :meth:`report`."""

@@ -124,7 +124,7 @@ class CapacityPlanner:
             return entry.outcome
         series = self.series(instance, metric)
         outcome = auto_select(series, config=self.config, executor=self.executor)
-        monitor = ModelMonitor(model=outcome.model, baseline_rmse=outcome.test_rmse)
+        monitor = ModelMonitor.for_outcome(outcome)
         self._entries[key] = PlannerEntry(outcome=outcome, monitor=monitor, series=series)
         self.repository.store_model(
             instance=instance,
@@ -203,11 +203,7 @@ class CapacityPlanner:
             shock_calendar=shock_calendar,
             n_evaluated=0,
         )
-        monitor = ModelMonitor(
-            model=fitted,
-            baseline_rmse=record.rmse,
-            fitted_at=record.fitted_at,
-        )
+        monitor = ModelMonitor.for_outcome(outcome, fitted_at=record.fitted_at)
         self._entries[self._key(instance, metric)] = PlannerEntry(
             outcome=outcome, monitor=monitor, series=series
         )

@@ -9,13 +9,10 @@ gives :class:`~repro.service.estate.EstatePlanner` that store:
 * selections are keyed by ``(workload key, series fingerprint, config
   fingerprint)`` — re-registering the *same* data under the *same*
   selection knobs is a cache hit and costs zero grid fits;
-* every cached outcome carries a
-  :class:`~repro.selection.staleness.ModelMonitor` with the paper's
-  defaults; feeding monitored observations through
-  :meth:`SelectionCache.observe` evicts the entry as soon as its rules
-  trigger (age > one week, rolling RMSE beyond twice the baseline, or
-  significant data growth), forcing a fresh selection on the next
-  report;
+* the cache holds no staleness rules of its own: whoever serves the
+  model decides when it is stale and calls :meth:`SelectionCache.invalidate`
+  (the streaming scheduler does so on a CUSUM drift trip, weekly expiry
+  or data growth), forcing a fresh selection on the next report;
 * hit / miss / invalidation counts are kept on the cache and folded into
   the estate's :class:`~repro.engine.telemetry.RunTrace`.
 
@@ -32,7 +29,6 @@ import numpy as np
 
 from ..core.timeseries import TimeSeries
 from ..selection.auto import AutoConfig, SelectionOutcome
-from ..selection.staleness import ModelMonitor, StalenessVerdict
 
 __all__ = [
     "SelectionCache",
@@ -63,20 +59,15 @@ def config_fingerprint(config: AutoConfig) -> str:
 
 @dataclass
 class CachedSelection:
-    """One stored selection outcome plus its staleness monitor."""
+    """One stored selection outcome and the fingerprint it was stored under."""
 
     fingerprint: str
     outcome: SelectionOutcome
-    monitor: ModelMonitor
 
 
 @dataclass
 class SelectionCache:
-    """Fingerprint-keyed store of selection outcomes with staleness rules.
-
-    Every cached outcome is watched by a
-    :class:`~repro.selection.staleness.ModelMonitor` with its default
-    rules (one week, 2× baseline RMSE, 50 % data growth).
+    """Fingerprint-keyed store of selection outcomes.
 
     Attributes
     ----------
@@ -104,44 +95,21 @@ class SelectionCache:
         """The cached outcome for ``key``, or ``None`` on miss.
 
         A hit requires the stored fingerprint to match the offered
-        ``(series, config)`` *and* the monitor to still report fresh; a
-        stale record is evicted on the spot (counted as invalidation and
-        miss) so the caller re-selects.
+        ``(series, config)``; a record invalidated as stale is gone, so
+        the caller re-selects.
         """
         record = self._records.get(key)
         if record is None or record.fingerprint != self._fingerprint(series, config):
-            self.misses += 1
-            return None
-        if record.monitor.check().stale:
-            self.invalidate(key)
             self.misses += 1
             return None
         self.hits += 1
         return record.outcome
 
     def put(self, key, series: TimeSeries, config: AutoConfig, outcome: SelectionOutcome) -> None:
-        """Store a fresh selection, wrapping it in a staleness monitor."""
+        """Store a fresh selection under its fingerprint."""
         self._records[key] = CachedSelection(
-            fingerprint=self._fingerprint(series, config),
-            outcome=outcome,
-            monitor=ModelMonitor(model=outcome.model, baseline_rmse=outcome.test_rmse),
+            fingerprint=self._fingerprint(series, config), outcome=outcome
         )
-
-    def observe(self, key, values) -> StalenessVerdict | None:
-        """Feed monitored observations to ``key``'s staleness monitor.
-
-        Returns the verdict (``None`` when nothing is cached for ``key``)
-        and evicts the record when the verdict is stale, so the next
-        :meth:`get` misses and the planner re-selects.
-        """
-        record = self._records.get(key)
-        if record is None:
-            return None
-        record.monitor.observe(values)
-        verdict = record.monitor.check()
-        if verdict.stale:
-            self.invalidate(key)
-        return verdict
 
     def invalidate(self, key) -> bool:
         """Drop ``key``'s record (if any); True when something was evicted."""

@@ -9,21 +9,25 @@ finalised hourly window is one heartbeat:
 3. every subsequent window **rolls the stored model's state forward**
    instead of refitting: the window's observations run through the
    model's one-step filter (``advance``; ARIMA/SARIMA continue the CSS
-   filter from O(1) rolled state, never re-filtering the history), the
+   filter from O(1) rolled state, never re-filtering the history, and
+   shock-regressor fits get their calendar rows from
+   :meth:`~repro.selection.auto.SelectionOutcome.advance`), the
    forecast origin moves to the stream head, and staleness becomes a
    cheap per-key drift check — a two-sided CUSUM on the standardized
    one-step innovations the roll produces for free
    (:mod:`repro.stream.drift`) plus the weekly-expiry and data-growth
    rules. Only a *tripped* check queues a re-selection, so the expensive
-   grid runs on real regime change, not on a timer. Models that cannot
-   roll (exogenous-regressor fits, models without an ``advance``) stay
-   on the legacy monitor-based observe path;
+   grid runs on real regime change, not on a timer. Rolling is the only
+   way a served key stays fresh: an empty window rolls in as the
+   model's own one-step forecast (a zero innovation the CUSUM never
+   sees, while the history keeps the gap for selection to
+   interpolate), and a roll that raises re-selects the key as degraded;
 4. queued re-selections run through the planner's
    :meth:`~repro.service.estate.EstatePlanner.report`, fanning out on the
    injected :class:`~repro.engine.executor.Executor` and consulting the
    estate :class:`~repro.service.selection_cache.SelectionCache` first —
-   an unchanged workload (same series fingerprint, fresh monitor) costs
-   **zero grid fits**;
+   an unchanged workload (same series and config fingerprints, not
+   invalidated by a stale verdict) costs **zero grid fits**;
 5. each tick re-grades every live model's forecast against its threshold
    *from the current watermark onwards* (the part of the horizon still in
    the future), producing the advisories the alerting layer debounces.
@@ -64,9 +68,9 @@ Degraded advisories carry the producing mode in
 :attr:`~repro.service.thresholds.BreachPrediction.degraded` and are
 counted in the trace's ``faults`` block; a failed key is re-registered
 on its next window (reason ``"recovery"``) so degradation is a bridge,
-not a terminal state. A key whose roll or cohort grading fails falls
-back to its scalar path alone — it drops out of its cohort, not the
-whole batch.
+not a terminal state. When a cohort's batched roll or grading fails,
+its keys fall back to their scalar paths one by one — a sick key drops
+out of its cohort, not the whole batch.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ class SchedulerTick:
     report:
         The estate report of the selection run, when one ran.
     verdicts:
-        Staleness verdicts returned by the monitors this tick.
+        Staleness verdicts of the keys rolled this tick.
     """
 
     advisories: dict[WorkloadKey, BreachPrediction] = field(default_factory=dict)
@@ -219,7 +223,6 @@ class _LiveModel:
     fitted_at: float
     initial_len: int
     detector: CusumDetector = field(default_factory=CusumDetector)
-    rolls: int = 0
 
 
 @dataclass
@@ -261,6 +264,9 @@ class _CohortJob:
 #: Sentinel: the advisory will be produced by the cohort pass instead.
 _DEFERRED = object()
 
+#: Families whose same-spec keys roll as one batched recursion.
+_ROLL_COHORTS = {FittedExpSmoothing: "ets", FittedDayProfile: "dayprofile"}
+
 
 def _cohort_family(model) -> tuple[str, object] | None:
     """(cohort forecaster, spec) of a model that grades in cohorts, else ``None``.
@@ -284,8 +290,7 @@ class ForecastScheduler:
     Parameters
     ----------
     planner:
-        The estate planner that owns selection, the selection cache and
-        the staleness monitors.
+        The estate planner that owns selection and the selection cache.
     customer:
         Estate customer label for every streamed workload key.
     thresholds:
@@ -438,8 +443,11 @@ class ForecastScheduler:
         already hold a seeded or streamed history; the outcome lands
         ``MODELLED`` in the planner (and the selection cache, so the
         normal lifecycle rules govern it) and the key starts rolling and
-        grading on the next tick.
+        grading on the next tick. The model must be able to roll (have
+        an ``advance``), as every family selection returns can.
         """
+        if not hasattr(outcome.model, "advance"):
+            raise DataError(f"adopt_model needs a model that rolls; {outcome.model.label()} cannot")
         kid = self.key_table.intern(instance, metric)
         state = self._histories.get(kid)
         if state is None or not len(state):
@@ -490,7 +498,7 @@ class ForecastScheduler:
         now = self._now()
         rolled = self._advance_live(fresh)
         pending = False
-        for kid, values in fresh.items():
+        for kid in fresh:
             wkey = self._wkey(kid)
             if kid in self._registered:
                 if self._entry_failed(wkey):
@@ -503,19 +511,17 @@ class ForecastScheduler:
                     self.refit_log.append(event)
                     self.trace.fault("recovery_reselections")
                     continue
-                if kid in rolled:
-                    verdict = self._absorb_roll(kid, wkey, rolled[kid], now)
-                else:
-                    verdict = self.planner.observe(wkey, values)
-                if verdict is not None:
-                    tick.verdicts[wkey] = verdict
-                    if verdict.stale:
-                        self._register(kid)
-                        pending = True
-                        event = RefitEvent(key=wkey, reason=verdict.reason.value, at=now)
-                        tick.refits.append(event)
-                        self.refit_log.append(event)
-                        self.trace.count("stream_refits_triggered")
+                if kid not in rolled:
+                    continue  # not modelled yet (pending or in fault)
+                verdict = self._absorb_roll(kid, wkey, rolled[kid], now)
+                tick.verdicts[wkey] = verdict
+                if verdict.stale:
+                    self._register(kid)
+                    pending = True
+                    event = RefitEvent(key=wkey, reason=verdict.reason.value, at=now)
+                    tick.refits.append(event)
+                    self.refit_log.append(event)
+                    self.trace.count("stream_refits_triggered")
             elif len(self._histories[kid]) >= self.min_observations:
                 self._register(kid)
                 pending = True
@@ -576,15 +582,8 @@ class ForecastScheduler:
     # ------------------------------------------------------------------
     # Incremental state rolls
     # ------------------------------------------------------------------
-    def _live_model_for(self, kid: int, outcome: SelectionOutcome) -> _LiveModel | None:
-        """The key's roll chain, started or refreshed from ``outcome``.
-
-        ``None`` when the family cannot roll: exogenous-regressor fits
-        (their forecast needs a future shock matrix aligned to the
-        original origin) and models without an ``advance``.
-        """
-        if outcome.uses_exog or not hasattr(outcome.model, "advance"):
-            return None
+    def _live_model_for(self, kid: int, outcome: SelectionOutcome) -> _LiveModel:
+        """The key's roll chain, started afresh whenever ``outcome`` is new."""
         live = self._live.get(kid)
         if live is None or live.source is not outcome:
             live = _LiveModel(
@@ -596,16 +595,18 @@ class ForecastScheduler:
             self._live[kid] = live
         return live
 
-    def _advance_live(self, fresh: dict[int, list[float]]) -> dict[int, tuple]:
-        """Roll stored model states through this tick's closed windows.
+    def _advance_live(self, fresh: dict[int, list[float]]) -> dict[int, tuple | None]:
+        """Roll every modelled key's state through this tick's closed windows.
 
-        Same-spec exponential-smoothing keys advance in one batched
-        state-space recursion (:func:`repro.models.ets.advance_cohort`);
-        other families advance per key. A key whose roll fails
-        (non-finite window, sick state) drops back to the legacy
-        monitor-based observe path alone; its cohort peers still roll.
+        Same-spec exponential-smoothing and day-profile keys advance in
+        one batched recursion per cohort
+        (:func:`repro.models.ets.advance_cohort` and its day-profile
+        twin); other families, and blocks holding an empty window, roll
+        per key through :meth:`_roll_alone`. A key whose roll raises maps
+        to ``None``, which :meth:`_absorb_roll` turns into a re-selection;
+        its cohort peers still roll.
         """
-        candidates: list[tuple[int, object, list[float]]] = []
+        candidates: list[tuple[int, _LiveModel, list[float]]] = []
         for kid, values in fresh.items():
             if kid not in self._registered:
                 continue
@@ -615,31 +616,22 @@ class ForecastScheduler:
                 continue
             if entry.status is not WorkloadStatus.MODELLED or entry.outcome is None:
                 continue
-            live = self._live_model_for(kid, entry.outcome)
-            if live is None:
-                continue
+            candidates.append((kid, self._live_model_for(kid, entry.outcome), values))
+
+        results: dict[int, tuple | None] = {}
+        groups: dict[tuple, list[int]] = {}
+        for i, (kid, live, values) in enumerate(candidates):
+            family = _ROLL_COHORTS.get(type(live.model))
             # Scalar finiteness check: the per-tick block is a handful of
             # floats per key, where ndarray round-trips are pure overhead.
-            if not all(math.isfinite(v) for v in values):
-                # The filter cannot run through garbage; hand the key
-                # back to the monitor path and drop the roll chain.
-                self._live.pop(kid, None)
-                continue
-            candidates.append((kid, live.model, values))
-
-        results: dict[int, tuple] = {}
-        groups: dict[tuple, list[int]] = {}
-        for i, (kid, model, values) in enumerate(candidates):
-            if isinstance(model, FittedExpSmoothing):
-                groups.setdefault(("ets", model.spec, len(values)), []).append(i)
-            elif isinstance(model, FittedDayProfile):
-                groups.setdefault(("dayprofile", model.spec, len(values)), []).append(i)
+            if family is not None and all(math.isfinite(v) for v in values):
+                groups.setdefault((family, live.model.spec, len(values)), []).append(i)
             else:
                 groups.setdefault(("solo", i), []).append(i)
         for gkey, idxs in groups.items():
-            if gkey[0] in ("ets", "dayprofile"):
+            if gkey[0] != "solo":
                 roll = advance_cohort if gkey[0] == "ets" else dayprofile_advance_cohort
-                models = [candidates[i][1] for i in idxs]
+                models = [candidates[i][1].model for i in idxs]
                 block = np.array([candidates[i][2] for i in idxs], dtype=float)
                 try:
                     out, innovations = roll(models, block)
@@ -652,15 +644,41 @@ class ForecastScheduler:
                         results[candidates[i][0]] = (out[j], innovations[j])
                     continue
             for i in idxs:
-                kid, model, values = candidates[i]
+                kid, live, values = candidates[i]
                 try:
-                    results[kid] = model.advance(np.asarray(values, dtype=float))
+                    results[kid] = self._roll_alone(live, values)
                 except Exception:
-                    self._live.pop(kid, None)
+                    results[kid] = None
         return results
 
+    @staticmethod
+    def _roll_alone(live: _LiveModel, values: list[float]) -> tuple:
+        """Roll one key's chain through its windows, empty ones included.
+
+        The roll goes through
+        :meth:`~repro.selection.auto.SelectionOutcome.advance`, which
+        hands shock-regressor fits their calendar rows. An empty
+        (non-finite) window rolls in as the model's own one-step
+        forecast: a zero innovation, which for the smoothing family is
+        exactly the state-space prediction step. Only the other windows'
+        innovations are returned, so the drift detector never sees a
+        gap, and the chain stays in phase with the stream.
+        """
+        outcome, model = live.source, live.model
+        if all(math.isfinite(v) for v in values):
+            return outcome.advance(np.asarray(values, dtype=float), model=model)
+        innovations = []
+        for value in values:
+            if math.isfinite(value):
+                model, step = outcome.advance(np.array([value]), model=model)
+                innovations.append(step[0])
+            else:
+                own = outcome.forecast(1, model=model).mean.values
+                model, __ = outcome.advance(own, model=model)
+        return model, np.asarray(innovations, dtype=float)
+
     def _absorb_roll(
-        self, kid: int, wkey: WorkloadKey, rolled: tuple, now: float
+        self, kid: int, wkey: WorkloadKey, rolled: tuple | None, now: float
     ) -> StalenessVerdict:
         """Install a rolled state and run the cheap staleness checks.
 
@@ -669,20 +687,23 @@ class ForecastScheduler:
         accuracy signal is the CUSUM drift test on the roll's
         standardized innovations instead of a fresh forecast-vs-observed
         RMSE, so staying healthy costs O(new windows) per key per tick.
+        A roll that raised (``rolled is None``) counts as degraded: the
+        key is re-selected rather than served from an untrusted state.
         """
-        model, innovations = rolled
         live = self._live[kid]
-        live.model = model
-        live.rolls += int(innovations.size)
-        self.trace.count("stream_rolls_applied", int(innovations.size))
-        sigma2 = float(getattr(live.source.model, "sigma2", 0.0))
-        scale = math.sqrt(sigma2) if sigma2 > 0 and math.isfinite(sigma2) else 1.0
-        tripped = live.detector.update_many(np.asarray(innovations, dtype=float) / scale)
+        if rolled is None:
+            tripped = True
+        else:
+            live.model, innovations = rolled
+            self.trace.count("stream_rolls_applied", int(innovations.size))
+            sigma2 = float(getattr(live.source.model, "sigma2", 0.0))
+            scale = math.sqrt(sigma2) if sigma2 > 0 and math.isfinite(sigma2) else 1.0
+            tripped = live.detector.update_many(np.asarray(innovations, dtype=float) / scale)
 
         verdict = staleness_verdict(
             age_seconds=max(0.0, now - live.fitted_at) if math.isfinite(now) else 0.0,
             degraded=tripped,
-            observed=len(model.train) - live.initial_len,
+            observed=len(live.model.train) - live.initial_len,
             train_size=live.initial_len,
             baseline_rmse=float(live.source.test_rmse),
         )

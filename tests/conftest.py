@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
 from repro.core import Frequency, TimeSeries
+from repro.models.base import FittedModel
+from repro.selection.auto import SelectionOutcome
 
 
 @pytest.fixture
@@ -59,3 +63,55 @@ def shocked_series(rng) -> TimeSeries:
 @pytest.fixture
 def white_noise(rng) -> TimeSeries:
     return TimeSeries(rng.normal(0, 1, 400), Frequency.HOURLY, name="noise")
+
+
+@dataclass
+class FlatModel(FittedModel):
+    """A cheap stand-in for a selected model: a flat forecast, unit error bars.
+
+    The level is the mean of the fit window's last day. ``advance`` rolls
+    like a real family: ``train`` grows, the fit-time level stays, and
+    the innovations are ``values - level``.
+    """
+
+    level: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.level is None:
+            self.level = float(np.mean(self.train.values[-24:]))
+
+    def forecast(self, horizon, alpha=0.05, **kwargs):
+        return self.make_forecast(np.full(horizon, self.level), np.ones(horizon), alpha)
+
+    def advance(self, values):
+        values = np.asarray(values, dtype=float)
+        train = replace(self.train, values=np.concatenate([self.train.values, values]))
+        return replace(self, train=train), values - self.level
+
+    def label(self):
+        return "flat"
+
+
+@pytest.fixture
+def stub_selection(monkeypatch) -> list[str]:
+    """Make the estate's selection fit a :class:`FlatModel`; no grid runs.
+
+    Returns the names of the series selected, in order, so tests can
+    count selections.
+    """
+    calls: list[str] = []
+
+    def fake_auto_select(series, config=None, executor=None, **kwargs):
+        calls.append(series.name)
+        model = FlatModel(train=series, residuals=np.zeros(len(series)), sigma2=1.0, n_params=1)
+        return SelectionOutcome(
+            model=model,
+            technique="hes",
+            test_rmse=1.0,
+            best_spec=None,
+            seasonality=None,
+            shock_calendar=None,
+        )
+
+    monkeypatch.setattr("repro.service.estate.auto_select", fake_auto_select)
+    return calls

@@ -11,50 +11,17 @@ Selection is stubbed with the cheap flat model; shards run inline so the
 stub patch is visible to every shard.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
 import pytest
 
 from repro.agent import AgentSample
 from repro.faults.scenarios import run_scenario
-from repro.models.base import FittedModel
 from repro.planner import PlanProposal
 from repro.selection import AutoConfig
-from repro.selection.auto import SelectionOutcome
 from repro.service import EstatePlanner
 from repro.shard import ShardedRuntime
 from repro.stream import StreamConfig, StreamRuntime
 
 STEP = 900.0
-
-
-@dataclass
-class _FlatModel(FittedModel):
-    def forecast(self, horizon, alpha=0.05, **kwargs):
-        level = float(np.mean(self.train.values[-24:]))
-        return self.make_forecast(np.full(horizon, level), np.ones(horizon), alpha)
-
-    def label(self):
-        return "flat"
-
-
-@pytest.fixture
-def stub_selection(monkeypatch):
-    def fake_auto_select(series, config=None, executor=None, **kwargs):
-        model = _FlatModel(
-            train=series, residuals=np.zeros(len(series)), sigma2=1.0, n_params=1
-        )
-        return SelectionOutcome(
-            model=model,
-            technique="hes",
-            test_rmse=1.0,
-            best_spec=None,
-            seasonality=None,
-            shock_calendar=None,
-        )
-
-    monkeypatch.setattr("repro.service.estate.auto_select", fake_auto_select)
 
 
 def polls(n_hours, value, instance):

@@ -63,6 +63,18 @@ class TestDegradationRule:
         # Only two observations: degradation rule not armed yet.
         assert not monitor.check().stale
 
+    def test_all_nonfinite_batch_is_no_evidence(self, fitted):
+        monitor = ModelMonitor(model=fitted, baseline_rmse=1.5)
+        monitor.observe([np.nan, np.nan, np.inf])
+        verdict = monitor.check()
+        assert verdict.current_rmse is None
+        assert verdict.reason is StalenessReason.FRESH
+        # Later finite observations are scored against their own steps.
+        monitor.observe(fitted.forecast(6).mean.values[3:] + 50.0)
+        verdict = monitor.check()
+        assert verdict.current_rmse == pytest.approx(50.0)
+        assert verdict.reason is StalenessReason.DEGRADED
+
     def test_incremental_observe(self, fitted):
         monitor = ModelMonitor(model=fitted, baseline_rmse=1.5)
         forecast = fitted.forecast(10).mean.values

@@ -5,6 +5,7 @@ import pytest
 
 from repro.agent import AgentSample, MetricsRepository
 from repro.core import Frequency, TimeSeries
+from repro.core.metrics import rmse
 from repro.exceptions import DataError
 from repro.selection import AutoConfig
 from repro.service import BreachSeverity, CapacityPlanner
@@ -44,6 +45,36 @@ class TestIngest:
         p = CapacityPlanner()
         with pytest.raises(DataError):
             p.ingest_series("x", "cpu", TimeSeries([np.nan, np.nan]))
+
+
+class TestShockRegressorWinner:
+    """A winner with backup regressors is watched against its outcome's forecast."""
+
+    @pytest.fixture(scope="class")
+    def stocked(self):
+        rng = np.random.default_rng(5)
+        t = np.arange(1012)
+        y = 50.0 + 8.0 * np.sin(2 * np.pi * t / 24) + rng.normal(0.0, 1.0, t.size)
+        y[(t % 6) == 0] += 30.0  # a backup every 6 hours
+        p = CapacityPlanner(config=AutoConfig(technique="sarimax", n_jobs=1, max_lag=4))
+        p.ingest_series("db1", "iops", TimeSeries(y[:1008], Frequency.HOURLY, name="iops"))
+        outcome = p.select_model("db1", "iops")
+        assert outcome.uses_exog
+        return p, outcome, y[1008:]
+
+    def test_observe_scores_the_outcome_forecast(self, stocked):
+        p, outcome, following = stocked
+        verdict = p.observe("db1", "iops", following)
+        assert verdict.current_rmse == rmse(following, outcome.forecast(4).mean.values)
+        assert not verdict.stale
+
+    def test_restored_winner_observes(self, stocked):
+        p, __, following = stocked
+        fresh = CapacityPlanner(repository=p.repository, config=p.config)
+        restored = fresh.restore_model("db1", "iops")
+        assert restored is not None and restored.uses_exog
+        verdict = fresh.observe("db1", "iops", following)
+        assert verdict.current_rmse == rmse(following, restored.forecast(4).mean.values)
 
 
 class TestModelLifecycle:

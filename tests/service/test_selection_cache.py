@@ -110,46 +110,6 @@ class TestCacheHits:
         assert advisory2.severity != advisory1.severity  # recomputed, not stale
 
 
-class TestInvalidation:
-    def test_degraded_rmse_forces_reselection(self, planner, grid_call_counter):
-        series = _series()
-        key = planner.register("acme", "db1", "cpu", series, threshold=60.0)
-        planner.report()
-        fits_first = len(grid_call_counter)
-
-        verdict = planner.observe(key, np.full(24, 1e5))  # far from any forecast
-        assert verdict is not None and verdict.stale
-        assert planner._entries[key].status is WorkloadStatus.PENDING
-        assert planner.cache.invalidations == 1
-
-        r = planner.report()  # re-selects from scratch
-        assert len(grid_call_counter) > fits_first
-        assert r.trace.counters["selection_cache_misses"] == 1
-        assert r.modelled[0].status is WorkloadStatus.MODELLED
-
-    def test_healthy_observations_keep_cache(self, planner):
-        series = _series()
-        key = planner.register("acme", "db1", "cpu", series)
-        planner.report()
-        entry = planner._entries[key]
-        next_day = entry.outcome.model.forecast(24).mean.values
-        verdict = planner.observe(key, next_day)  # spot-on observations
-        assert verdict is not None and not verdict.stale
-        assert planner.cache.invalidations == 0
-        assert entry.status is WorkloadStatus.MODELLED
-
-    def test_observe_unknown_key_rejected(self, planner):
-        from repro.exceptions import DataError
-        from repro.service import WorkloadKey
-
-        with pytest.raises(DataError):
-            planner.observe(WorkloadKey("x", "y", "z"), [1.0])
-
-    def test_observe_before_report_is_none(self, planner):
-        key = planner.register("acme", "db1", "cpu", _series())
-        assert planner.observe(key, [1.0]) is None
-
-
 class TestCacheUnit:
     def test_get_put_roundtrip_and_counters(self):
         cache = SelectionCache()

@@ -9,15 +9,12 @@ tests run the same window feed both ways with real Holt–Winters fits so
 rolls and cohort grading genuinely execute, then diff the outputs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
 from repro.core import Frequency, TimeSeries
 from repro.exceptions import DataError
-from repro.models import HoltWinters
-from repro.models.base import FittedModel
+from repro.models import HoltWinters, SeasonalNaive
 from repro.selection import AutoConfig
 from repro.selection.auto import SelectionOutcome
 from repro.service import EstatePlanner
@@ -228,37 +225,24 @@ class TestAdoptModel:
         with pytest.raises(DataError):
             sched.adopt_model("ghost", "cpu", outcome)
 
-
-@dataclass
-class _FlatModel(FittedModel):
-    def forecast(self, horizon, alpha=0.05, **kwargs):
-        return self.make_forecast(
-            np.full(horizon, float(np.mean(self.train.values[-24:]))),
-            np.ones(horizon),
-            alpha,
+    def test_adopt_rejects_a_model_that_cannot_roll(self):
+        sched, __ = make_scheduler()
+        series = TimeSeries(_values(3, 72), frequency=Frequency.HOURLY, start=0.0, name="x")
+        sched.seed_history("dbX", "cpu", series)
+        outcome = SelectionOutcome(
+            model=SeasonalNaive(PERIOD).fit(series),
+            technique="hes",
+            test_rmse=1.0,
+            best_spec=None,
+            seasonality=None,
+            shock_calendar=None,
         )
-
-    def label(self):
-        return "flat"
-
-
-def _flat_select(series, config=None, executor=None, **kwargs):
-    model = _FlatModel(
-        train=series, residuals=np.zeros(len(series)), sigma2=1.0, n_params=1
-    )
-    return SelectionOutcome(
-        model=model,
-        technique="hes",
-        test_rmse=1.0,
-        best_spec=None,
-        seasonality=None,
-        shock_calendar=None,
-    )
+        with pytest.raises(DataError, match="rolls"):
+            sched.adopt_model("dbX", "cpu", outcome)
 
 
 class TestKeyHistoryCap:
-    def test_amortised_trim_matches_naive_reference(self, monkeypatch):
-        monkeypatch.setattr("repro.service.estate.auto_select", _flat_select)
+    def test_amortised_trim_matches_naive_reference(self, stub_selection):
         cap = 30
         sched, __ = make_scheduler(
             min_observations=24, thresholds={}, history_cap=cap
@@ -276,8 +260,7 @@ class TestKeyHistoryCap:
         state = sched._histories[sched.key_table.id_of("db1", "cpu")]
         assert len(state.values) <= cap + max(cap, 64) + 1
 
-    def test_continuity_check_survives_compaction(self, monkeypatch):
-        monkeypatch.setattr("repro.service.estate.auto_select", _flat_select)
+    def test_continuity_check_survives_compaction(self, stub_selection):
         sched, __ = make_scheduler(
             min_observations=24, thresholds={}, history_cap=30
         )

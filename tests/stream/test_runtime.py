@@ -6,53 +6,17 @@ batching, staleness refits, alert escalation, telemetry — is what's
 under test, at interactive speed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
 from repro.agent import AgentSample, MetricsRepository
 from repro.exceptions import DataError
-from repro.models.base import FittedModel
 from repro.selection import AutoConfig
-from repro.selection.auto import SelectionOutcome
 from repro.service import EstatePlanner
 from repro.stream import AlertKind, StreamConfig, StreamRuntime
 
 STEP = 900.0
 HOUR = 3600.0
-
-
-@dataclass
-class _FlatModel(FittedModel):
-    def forecast(self, horizon, alpha=0.05, **kwargs):
-        level = float(np.mean(self.train.values[-24:]))
-        return self.make_forecast(np.full(horizon, level), np.ones(horizon), alpha)
-
-    def label(self):
-        return "flat"
-
-
-@pytest.fixture
-def stub_selection(monkeypatch):
-    calls = []
-
-    def fake_auto_select(series, config=None, executor=None, **kwargs):
-        calls.append(series.name)
-        model = _FlatModel(
-            train=series, residuals=np.zeros(len(series)), sigma2=1.0, n_params=1
-        )
-        return SelectionOutcome(
-            model=model,
-            technique="hes",
-            test_rmse=1.0,
-            best_spec=None,
-            seasonality=None,
-            shock_calendar=None,
-        )
-
-    monkeypatch.setattr("repro.service.estate.auto_select", fake_auto_select)
-    return calls
 
 
 def polls(n_hours, value=40.0, start_hour=0, instance="db1", metric="cpu"):

@@ -6,16 +6,12 @@ the acceptance criteria here are about the lifecycle (when selection
 runs, when the cache spares it), not about model quality.
 """
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 import pytest
 
 from repro.core import Frequency, TimeSeries
 from repro.exceptions import DataError
-from repro.models.base import FittedModel
 from repro.selection import AutoConfig
-from repro.selection.auto import SelectionOutcome
 from repro.selection.staleness import WEEK_SECONDS, StalenessReason
 from repro.service import EstatePlanner, WorkloadStatus
 from repro.service.thresholds import BreachSeverity
@@ -24,56 +20,10 @@ from repro.stream import ClosedWindow, ForecastScheduler, ManualClock
 HOUR = 3600.0
 
 
-@dataclass
-class _FlatModel(FittedModel):
-    """Forecasts the mean of the last day, with unit error bars."""
-
-    def forecast(self, horizon, alpha=0.05, **kwargs):
-        level = float(np.mean(self.train.values[-24:]))
-        mean = np.full(horizon, level)
-        return self.make_forecast(mean, np.ones(horizon), alpha)
-
-    def label(self):
-        return "flat"
-
-
-@dataclass
-class _RollingFlatModel(_FlatModel):
-    """A flat model that rolls forward with zero innovations (no drift trip)."""
-
-    def advance(self, values):
-        train = TimeSeries(
-            np.concatenate([self.train.values, values]),
-            self.train.frequency,
-            start=self.train.start,
-            name=self.train.name,
-        )
-        return replace(self, train=train), np.zeros(len(values))
-
-
-def _stub_select(calls, model_cls=_FlatModel):
-    def fake_auto_select(series, config=None, executor=None, **kwargs):
-        calls.append(series.name)
-        model = model_cls(
-            train=series, residuals=np.zeros(len(series)), sigma2=1.0, n_params=1
-        )
-        return SelectionOutcome(
-            model=model,
-            technique="hes",
-            test_rmse=1.0,
-            best_spec=None,
-            seasonality=None,
-            shock_calendar=None,
-        )
-
-    return fake_auto_select
-
-
 @pytest.fixture
-def calls(monkeypatch):
-    calls = []
-    monkeypatch.setattr("repro.service.estate.auto_select", _stub_select(calls))
-    return calls
+def calls(stub_selection):
+    """The names of the series selected so far (selection is stubbed)."""
+    return stub_selection
 
 
 def windows(values, start_hour=0, instance="db1", metric="cpu"):
@@ -146,15 +96,49 @@ class TestLifecycle:
 
 class TestStalenessRefit:
     def test_rmse_degradation_triggers_reselection(self, calls):
-        sched, __ = scheduler(calls)
+        sched, planner = scheduler(calls)
         sched.on_windows(windows([50.0] * 24))
         assert len(calls) == 1
+        key = sched.workload_key("db1", "cpu")
+        first = planner.entry(key).outcome
+        statuses = []
+        report = planner.report
+        planner.report = lambda **kw: [statuses.append(planner.entry(key).status), report(**kw)][1]
         # The flat model predicts ~50; feed a shock far beyond 2x baseline.
         tick = sched.on_windows(windows([500.0] * 3, start_hour=24))
         assert len(calls) == 2  # re-selected on the refreshed series
         assert [e.reason for e in tick.refits] == [StalenessReason.DEGRADED.value]
         assert sched.refit_log[-1].reason == StalenessReason.DEGRADED.value
         assert sched.trace.counters["stream_refits_triggered"] == 1
+        # The stale verdict evicted the cache record once and left the
+        # entry pending; the report then missed the cache and re-selected.
+        assert planner.cache.invalidations == 1
+        assert statuses == [WorkloadStatus.PENDING]
+        assert tick.report.trace.counters["selection_cache_misses"] == 1
+        assert planner.entry(key).status is WorkloadStatus.MODELLED
+        assert planner.entry(key).outcome is not first
+
+    def test_failed_roll_reselects_as_degraded(self, calls, monkeypatch):
+        sched, planner = scheduler(calls)
+        sched.on_windows(windows([50.0] * 24))
+        key = sched.workload_key("db1", "cpu")
+        first = planner.entry(key).outcome
+
+        def broken(values):
+            raise FloatingPointError("sick filter state")
+
+        monkeypatch.setattr(first.model, "advance", broken)
+        tick = sched.on_windows(windows([50.0], start_hour=24))
+        assert tick.verdicts[key].reason is StalenessReason.DEGRADED
+        assert [e.reason for e in tick.refits] == [StalenessReason.DEGRADED.value]
+        assert len(calls) == 2
+        # Re-selected, not restarted from the old fit: the next roll starts
+        # a chain from the new outcome.
+        assert planner.entry(key).outcome is not first
+        sched.on_windows(windows([50.0], start_hour=25))
+        live = sched._live[sched.key_table.id_of("db1", "cpu")]
+        assert live.source is planner.entry(key).outcome
+        assert live.model.train.end == 25 * HOUR
 
     def test_fresh_model_not_refit(self, calls):
         sched, __ = scheduler(calls)
@@ -173,11 +157,7 @@ class TestStalenessRefit:
         assert [e.reason for e in tick.refits] == [StalenessReason.DATA_GROWTH.value]
         assert len(calls) == 2
 
-    def test_rolled_model_expires_after_a_week(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            "repro.service.estate.auto_select", _stub_select(calls, _RollingFlatModel)
-        )
+    def test_rolled_model_expires_after_a_week(self, calls):
         sched, __ = scheduler()
         sched.on_windows(windows([50.0] * 24))
         tick = sched.on_windows(windows([50.0], start_hour=24))
