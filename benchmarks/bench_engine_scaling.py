@@ -1,18 +1,22 @@
 """Engine scaling: grid evaluation wall time, task bytes, candidate racing.
 
 Section 6.3's scaling worry is concrete — four nodes would mean "nearly
-24000" models — and the engine's answer is threefold: a reusable worker
+24000" models — and the engine's answer is fourfold: a reusable worker
 pool shared across selections, a broadcast data plane that ships the
-train/test bundle once instead of once per task, and successive-halving
+train/test bundle once instead of once per task, successive-halving
 candidate racing that spends the full optimiser budget only on the
-survivors. This bench measures all three:
+survivors, and lockstep HES fits that run a whole estate's smoothing
+objectives as batched recursions. This bench measures all four:
 
 * wall time of the same SARIMAX sweep on the serial executor and on
   process pools of 2 and 4 workers (pool spawn excluded via warm-up);
 * serialized bytes per task, broadcast plane vs. the old ship-the-series
   tuples;
 * racing vs. exhaustive wall-clock and full-budget fit counts, asserting
-  the racing winner stays within 1 % of the exhaustive winner's RMSE.
+  the racing winner stays within 1 % of the exhaustive winner's RMSE;
+* a restart's selection of many 1008 h HES keys in one serial estate
+  report, lockstep against per-fit ``optimize.minimize``, asserting
+  identical outcomes.
 
 On a single-CPU host pools cannot win — the pool assertion is therefore
 *correctness*, not speed: every executor must produce the identical
@@ -23,8 +27,11 @@ Set ``REPRO_REDUCED_GRID=1`` (the CI smoke mode) to shrink the series and
 candidate sample so the whole bench finishes in well under a minute.
 """
 
+import gc
 import os
+import statistics
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,9 +39,11 @@ import pytest
 from repro.core import Frequency, TimeSeries
 from repro.engine import PoolExecutor, SerialExecutor, serialized_size
 from repro.engine.telemetry import RunTrace
+from repro.models import ets, lbfgsb
 from repro.reporting import Table
-from repro.selection import evaluate_grid, sarimax_grid
+from repro.selection import AutoConfig, evaluate_grid, sarimax_grid
 from repro.selection.grid import GRID_MAXITER, RacingPlan
+from repro.service import EstatePlanner
 
 from .conftest import write_bench_json
 
@@ -199,5 +208,101 @@ def test_racing_vs_exhaustive(workload):
             "wall_seconds_racing": raced_seconds,
             "winner_rmse_exhaustive": exhaustive[0].rmse,
             "winner_rmse_racing": raced[0].rmse,
+        },
+    )
+
+
+#: Keys in the restart-selection estate (the churn restart has 36).
+RESTART_KEYS = 36 if REDUCED else 144
+
+
+def _restart_histories(n_keys: int) -> list[TimeSeries]:
+    """Seeded 1008 h histories: a daily cycle on a slowly wandering level."""
+    rng = np.random.default_rng(1008)
+    t = np.arange(1008)
+    out = []
+    for k in range(n_keys):
+        level = rng.uniform(60.0, 75.0) + np.cumsum(rng.normal(0.0, 0.15, t.size))
+        values = level + 8.0 * np.sin(2 * np.pi * t / 24) + rng.normal(0, rng.uniform(1, 2), t.size)
+        out.append(TimeSeries(values, Frequency.HOURLY, name=f"tenant{k:03d}.cpu"))
+    return out
+
+
+def _restart_report(histories):
+    planner = EstatePlanner(config=AutoConfig(technique="hes"))
+    for k, series in enumerate(histories):
+        planner.register("bench", f"tenant{k:03d}", "cpu", series, threshold=95.0)
+    started = time.perf_counter()
+    report = planner.report(executor=SerialExecutor())
+    seconds = time.perf_counter() - started
+    outcome = []
+    for entry in report.entries:
+        model = entry.outcome.model
+        outcome.append((
+            str(entry.key),
+            entry.status.name,
+            model.spec,
+            np.array([entry.test_rmse, model.alpha, model.beta, model.gamma,
+                      model.sigma2]).tobytes(),
+            model.residuals.tobytes(),
+            model.seasonal_state.tobytes(),
+        ))
+    return seconds, outcome
+
+
+def _minimize_only():
+    """Force the per-fit ``optimize.minimize`` path: the scipy check fails."""
+    ets._lockstep_ok.cache_clear()
+    return mock.patch.object(lbfgsb, "_setulb", None)
+
+
+def test_estate_restart_selection():
+    """A restart re-selects every key at once: the HES fits step in lockstep.
+
+    Legs alternate (lockstep, then forced per-fit ``minimize``) three
+    times with the garbage collector off, so both see the same stretch
+    of the machine; every leg must produce identical outcomes.
+    """
+    histories = _restart_histories(RESTART_KEYS)
+    lockstep, fallback = [], []
+    reference = None
+    gc.collect()
+    gc.disable()
+    try:
+        for __ in range(3):
+            seconds, outcome = _restart_report(histories)
+            lockstep.append(seconds)
+            with _minimize_only():
+                seconds, fallback_outcome = _restart_report(histories)
+            ets._lockstep_ok.cache_clear()
+            fallback.append(seconds)
+            reference = reference or outcome
+            assert outcome == reference
+            assert fallback_outcome == reference
+    finally:
+        gc.enable()
+
+    seconds = statistics.median(lockstep)
+    speedup = statistics.median(fallback) / seconds
+    table = Table(
+        ["Path", "Keys", "Median wall (s)", "Legs (s)"],
+        title="Restart selection: serial estate report of HES keys",
+    )
+    table.add_row(["lockstep", str(RESTART_KEYS), seconds, " ".join(f"{x:.2f}" for x in lockstep)])
+    table.add_row(["per-fit minimize", str(RESTART_KEYS), statistics.median(fallback),
+                   " ".join(f"{x:.2f}" for x in fallback)])
+    print()
+    table.print()
+    print(f"lockstep speedup {speedup:.2f}x")
+
+    write_bench_json(
+        BENCH_JSON,
+        "restart_selection",
+        {
+            "keys": RESTART_KEYS,
+            "reduced_grid": REDUCED,
+            "seconds": seconds,
+            "seconds_minimize": statistics.median(fallback),
+            "lockstep_speedup": speedup,
         },
     )

@@ -31,6 +31,8 @@ from pathlib import Path
 HEADLINES: tuple[tuple[str, str, str], ...] = (
     ("BENCH_engine.json", "scaling.wall_seconds.1", "lower"),
     ("BENCH_engine.json", "racing.wall_seconds_racing", "lower"),
+    ("BENCH_engine.json", "restart_selection.seconds", "lower"),
+    ("BENCH_engine.json", "restart_selection.lockstep_speedup", "higher"),
     ("BENCH_stream.json", "ingest.samples_per_second", "higher"),
     ("BENCH_stream.json", "ingest_fastpath.samples_per_s_100k", "higher"),
     ("BENCH_stream.json", "ingest_fastpath.sparse_advance_ms", "lower"),

@@ -17,6 +17,7 @@ from .executor import (
     PoolExecutor,
     SerialExecutor,
     TaskReport,
+    batch_task,
     default_executor,
     resolve_payload,
     serialized_size,
@@ -25,7 +26,9 @@ from .executor import (
 from .pipeline import (
     PIPELINE_STAGES,
     SelectionContext,
+    new_context,
     run_pipeline,
+    run_pipeline_batch,
     stage_augment,
     stage_branch_choose,
     stage_characterise,
@@ -45,6 +48,7 @@ __all__ = [
     "PoolExecutor",
     "TaskReport",
     "PayloadRef",
+    "batch_task",
     "resolve_payload",
     "serialized_size",
     "default_executor",
@@ -52,7 +56,9 @@ __all__ = [
     "RunTrace",
     "StageEvent",
     "SelectionContext",
+    "new_context",
     "run_pipeline",
+    "run_pipeline_batch",
     "PIPELINE_STAGES",
     "stage_repair",
     "stage_split",

@@ -21,6 +21,12 @@ raises for a task failure: every task yields a :class:`TaskReport`
 carrying either the value or the captured error, plus its duration and
 the worker that ran it (food for :mod:`repro.engine.telemetry`).
 
+A function marked with :func:`batch_task` takes many tasks at once, so
+they can share work (the estate's lockstep HES fits): the serial
+executor hands every live task of an attempt to one call, a pool hands
+each chunk to one call in its worker. Reports, fault injection and
+retries are the same as for plain tasks.
+
 Both executors also implement a **broadcast data plane**. A grid sweep
 scores hundreds of ~100-byte candidate specs against one shared
 ``(train, test, shock_matrix, shock_future)`` bundle; shipping that
@@ -52,13 +58,14 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..exceptions import DataError
 
 __all__ = [
     "TaskReport",
     "PayloadRef",
+    "batch_task",
     "ExecutionPolicy",
     "Executor",
     "SerialExecutor",
@@ -229,6 +236,10 @@ def serialized_size(obj: object) -> int:
     return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_captured(fn: Callable, task, index: int) -> TaskReport:
     """Execute one task, converting any exception into a report.
 
@@ -243,7 +254,7 @@ def _run_captured(fn: Callable, task, index: int) -> TaskReport:
         return TaskReport(
             index=index,
             value=None,
-            error=f"{type(exc).__name__}: {exc}",
+            error=_describe(exc),
             seconds=time.perf_counter() - started,
             worker=worker,
         )
@@ -253,6 +264,47 @@ def _run_captured(fn: Callable, task, index: int) -> TaskReport:
         seconds=time.perf_counter() - started,
         worker=worker,
     )
+
+
+def batch_task(fn: Callable) -> Callable:
+    """Mark ``fn`` as a batch task for :meth:`Executor.run`.
+
+    A batch task takes a list of tasks and returns one ``(value,
+    seconds)`` per task, in order, where ``seconds`` is the task's share
+    of the call. A value that is an exception is that task's failure,
+    reported exactly as a plain task's raised exception is. If the call
+    itself raises, every task it was given fails with that error.
+    """
+    fn.batch_task = True
+    return fn
+
+
+def _run_each(fn: Callable, pairs: list[tuple[int, object]]) -> list[TaskReport]:
+    """Run ``fn`` once per ``(index, task)`` pair (plain tasks)."""
+    return [_run_captured(fn, task, index) for index, task in pairs]
+
+
+def _run_batch(fn: Callable, pairs: list[tuple[int, object]]) -> list[TaskReport]:
+    """Run a :func:`batch_task` once over all ``(index, task)`` pairs."""
+    worker = str(os.getpid())
+    started = time.perf_counter()
+    try:
+        outcomes = fn([task for __, task in pairs])
+    except Exception as exc:
+        seconds = (time.perf_counter() - started) / len(pairs)
+        return [
+            TaskReport(index=index, value=None, error=_describe(exc), seconds=seconds,
+                       worker=worker)
+            for index, __ in pairs
+        ]
+    reports = []
+    for (index, __), (value, seconds) in zip(pairs, outcomes, strict=True):
+        if isinstance(value, Exception):
+            reports.append(TaskReport(index=index, value=None, error=_describe(value),
+                                      seconds=seconds, worker=worker))
+        else:
+            reports.append(TaskReport(index=index, value=value, seconds=seconds, worker=worker))
+    return reports
 
 
 #: Last kernel-counter snapshot this worker reported back to the parent.
@@ -284,16 +336,16 @@ def _drain_worker_kernel_delta() -> dict[str, float]:
 
 
 def _run_chunk(
-    fn: Callable, chunk: list[tuple[int, object]]
+    runner: Callable, fn: Callable, chunk: list[tuple[int, object]]
 ) -> tuple[list[TaskReport], dict[str, float]]:
     """Worker-side entry point: run one chunk of (index, task) pairs.
 
-    Returns the task reports plus this worker's kernel-counter delta, so
+    ``runner`` is :func:`_run_each` or :func:`_run_batch`. Returns the
+    task reports plus this worker's kernel-counter delta, so
     compiled-kernel telemetry rides the existing result channel instead
     of needing a second IPC round.
     """
-    reports = [_run_captured(fn, task, index) for index, task in chunk]
-    return reports, _drain_worker_kernel_delta()
+    return runner(fn, chunk), _drain_worker_kernel_delta()
 
 
 class Executor:
@@ -304,7 +356,8 @@ class Executor:
     subclass's :meth:`_execute`, then applies the
     :class:`ExecutionPolicy`'s bounded retry to whatever failed.
     Subclasses only implement :meth:`_execute` over ``(index, task)``
-    pairs; reports may come back in any order.
+    pairs with a runner (:func:`_run_each` or :func:`_run_batch`);
+    reports may come back in any order.
     """
 
     #: Resilience policy; ``None`` means fail-fast (historical behaviour).
@@ -320,8 +373,10 @@ class Executor:
             counters = self.fault_counters = {}
         counters[key] = counters.get(key, 0) + n
 
-    def _execute(self, fn: Callable, pairs: list[tuple[int, object]]) -> list[TaskReport]:
-        """Run ``fn`` over ``(index, task)`` pairs; any report order."""
+    def _execute(
+        self, runner: Callable, fn: Callable, pairs: list[tuple[int, object]]
+    ) -> list[TaskReport]:
+        """Run ``fn`` over ``(index, task)`` pairs through ``runner``; any order."""
         raise NotImplementedError
 
     def _partition_injected(
@@ -369,14 +424,20 @@ class Executor:
         return policy.retry_timed_out or not report.timed_out
 
     def run(self, fn: Callable, tasks: Sequence) -> list[TaskReport]:
-        """Apply ``fn`` to every task; reports in submission order."""
+        """Apply ``fn`` to every task; reports in submission order.
+
+        A :func:`batch_task` runs once per attempt on the serial executor
+        (the first submission, then each retry round's failures) and once
+        per chunk on a pool.
+        """
+        runner = _run_batch if getattr(fn, "batch_task", False) else _run_each
         tasks = list(tasks)
         if not tasks:
             return []
         pairs, injected = self._partition_injected(list(enumerate(tasks)))
         reports: dict[int, TaskReport] = dict(injected)
         if pairs:
-            for report in self._execute(fn, pairs):
+            for report in self._execute(runner, fn, pairs):
                 reports[report.index] = report
         policy = getattr(self, "policy", None)
         if policy is not None and policy.task_retries:
@@ -391,7 +452,7 @@ class Executor:
                 # original submission only, so a transient injected error
                 # is recoverable — which is the point of the policy.
                 self._fault_count("tasks_retried", len(failed))
-                for report in self._execute(fn, [(i, tasks[i]) for i in failed]):
+                for report in self._execute(runner, fn, [(i, tasks[i]) for i in failed]):
                     if report.ok:
                         self._fault_count("tasks_recovered")
                     reports[report.index] = report
@@ -473,27 +534,17 @@ class SerialExecutor(Executor):
             self.bytes_broadcast += len(blob)
         return PayloadRef(key=key, path=None, nbytes=len(blob))
 
-    def _execute(self, fn: Callable, pairs: list[tuple[int, object]]) -> list[TaskReport]:
+    def _execute(
+        self, runner: Callable, fn: Callable, pairs: list[tuple[int, object]]
+    ) -> list[TaskReport]:
         # Match pool semantics: kernels are warm before the first task runs
         # (for numpy backends this is a microsecond no-op after the first call).
         from . import kernels as engine_kernels
 
         engine_kernels.warm_worker_init()
-        reports = []
-        for index, task in pairs:
-            report = _run_captured(fn, task, index)
-            # In-process execution: label the worker "serial" so telemetry
-            # distinguishes it from pool workers at a glance.
-            reports.append(
-                TaskReport(
-                    index=report.index,
-                    value=report.value,
-                    error=report.error,
-                    seconds=report.seconds,
-                    worker="serial",
-                )
-            )
-        return reports
+        # In-process execution: label the worker "serial" so telemetry
+        # distinguishes it from pool workers at a glance.
+        return [replace(report, worker="serial") for report in runner(fn, pairs)]
 
 
 class PoolExecutor(Executor):
@@ -607,19 +658,21 @@ class PoolExecutor(Executor):
     def _rebuild_broken(self) -> bool:
         return self.policy.rebuild_broken_pool if self.policy is not None else True
 
-    def _execute(self, fn: Callable, pairs: list[tuple[int, object]]) -> list[TaskReport]:
+    def _execute(
+        self, runner: Callable, fn: Callable, pairs: list[tuple[int, object]]
+    ) -> list[TaskReport]:
         size = self._chunk_size_for(len(pairs))
         chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
         try:
             pool = self._ensure_pool()
-            futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
+            futures = [pool.submit(_run_chunk, runner, fn, chunk) for chunk in chunks]
         except BrokenProcessPool:
             if not self._rebuild_broken:
                 raise
             self._reset_pool()
             self._fault_count("pools_rebuilt")
             pool = self._ensure_pool()
-            futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
+            futures = [pool.submit(_run_chunk, runner, fn, chunk) for chunk in chunks]
         self.tasks_dispatched += len(pairs)
 
         reports: dict[int, TaskReport] = {}

@@ -21,22 +21,35 @@ fitted during ``characterise`` (its RMSE is a property of the series as
 much as the ACF is), the grid stages are skipped entirely for
 ``technique="hes"``, and ``refit`` reproduces the winner on the full
 window at full optimiser budget.
+
+:func:`run_pipeline_batch` runs the stages over many contexts at once.
+``characterise`` and ``refit`` are **lockstep stages**: their smoothing
+fits are requests that the batch gathers from every context into one
+:func:`repro.models.ets.fit_many` call per round, so a restart's or an
+onboarding wave's HES fits step together through one batched recursion.
+Every other stage runs context by context, and each context's outcome is
+the one :func:`run_pipeline` gives it alone.
 """
 
 from __future__ import annotations
 
+import time
+from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..core.fourier import detect_seasonalities
 from ..core.preprocessing import interpolate_missing
 from ..exceptions import DataError, SelectionError
+from ..models.ets import fit_many
 from ..selection.auto import (
     AutoConfig,
     SelectionOutcome,
     _candidate_periods,
-    _fit_hes,
-    _refit_hes,
+    _hes_refit_model,
+    _hes_variants,
+    _pick_hes,
 )
 from ..selection.correlogram import pruned_sarimax_grid, suggest_orders
 from ..selection.grid import (
@@ -48,6 +61,7 @@ from ..selection.grid import (
     sarimax_grid,
 )
 from ..shocks.detector import build_shock_calendar
+from . import kernels as engine_kernels
 from .executor import Executor, default_executor
 from .telemetry import RunTrace
 
@@ -62,7 +76,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SelectionContext",
+    "new_context",
     "run_pipeline",
+    "run_pipeline_batch",
     "PIPELINE_STAGES",
     "stage_repair",
     "stage_split",
@@ -150,6 +166,10 @@ def stage_characterise(ctx: SelectionContext) -> None:
     only runs when a grid will be evaluated (it feeds exogenous
     candidates, which the pure-HES run never builds).
     """
+    _run_alone(_characterise_steps(ctx))
+
+
+def _characterise_steps(ctx: SelectionContext):
     config = ctx.config
     ctx.periods = [
         p for p in _candidate_periods(ctx.series, config) if len(ctx.train) >= 2 * p + 5
@@ -158,8 +178,10 @@ def stage_characterise(ctx: SelectionContext) -> None:
     ctx.seasonality = detect_seasonalities(ctx.train, candidates=ctx.periods)
 
     if config.technique in ("hes", "auto"):
+        variants = _hes_variants(ctx.train, ctx.primary)
+        fits = yield [(variant, ctx.train) for variant in variants]
         try:
-            ctx.hes_model, ctx.hes_rmse = _fit_hes(ctx.train, ctx.test, ctx.primary)
+            ctx.hes_model, ctx.hes_rmse = _pick_hes(fits, ctx.test)
             ctx.trace.count("hes_candidates", 2)
         except SelectionError:
             if config.technique == "hes":
@@ -321,6 +343,10 @@ def stage_branch_choose(ctx: SelectionContext) -> None:
 
 def stage_refit(ctx: SelectionContext) -> None:
     """Refit the winner on the full window and assemble the outcome."""
+    _run_alone(_refit_steps(ctx))
+
+
+def _refit_steps(ctx: SelectionContext):
     from ..models.sarimax import Sarimax
 
     config = ctx.config
@@ -333,7 +359,9 @@ def stage_refit(ctx: SelectionContext) -> None:
             # may be Holt or SES (no usable seasonal period), which a
             # blind HoltWinters(primary, ...) refit would crash on or
             # silently replace.
-            final = _refit_hes(ctx.hes_model, ctx.series)
+            (final,) = yield [(_hes_refit_model(ctx.hes_model), ctx.series)]
+            if isinstance(final, Exception):
+                raise final
             ctx.trace.note(f"refit {final.label()} on full window")
         ctx.outcome = SelectionOutcome(
             model=final,
@@ -382,6 +410,16 @@ def stage_refit(ctx: SelectionContext) -> None:
     )
 
 
+def _run_alone(steps) -> None:
+    """Run a lockstep stage's steps on one context: one fit_many per request."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(fit_many(request))
+    except StopIteration:
+        pass
+
+
 #: The Figure 4 stages in execution order.
 PIPELINE_STAGES: tuple[tuple[str, object], ...] = (
     ("repair", stage_repair),
@@ -395,6 +433,33 @@ PIPELINE_STAGES: tuple[tuple[str, object], ...] = (
 )
 
 
+#: The lockstep stages' steps: generators that yield lists of
+#: ``(model, series)`` fit jobs and receive their :func:`fit_many` results.
+_LOCKSTEP_STEPS = {stage_characterise: _characterise_steps, stage_refit: _refit_steps}
+
+
+def new_context(
+    series: TimeSeries,
+    config: AutoConfig | None = None,
+    train: TimeSeries | None = None,
+    test: TimeSeries | None = None,
+    executor: Executor | None = None,
+    trace: RunTrace | None = None,
+) -> SelectionContext:
+    """A fresh context; ``executor`` defaults to the shared one for ``config.n_jobs``."""
+    config = config or AutoConfig()
+    if executor is None:
+        executor = default_executor(config.n_jobs)
+    return SelectionContext(
+        series=series,
+        config=config,
+        executor=executor,
+        trace=trace or RunTrace(),
+        train=train,
+        test=test,
+    )
+
+
 def run_pipeline(
     series: TimeSeries,
     config: AutoConfig | None = None,
@@ -405,31 +470,114 @@ def run_pipeline(
 ) -> SelectionOutcome:
     """Run every stage in order and return the assembled outcome.
 
+    The batch of one: :func:`run_pipeline_batch` over a single
+    :func:`new_context`, re-raising the error a stage raised.
     ``executor`` defaults to the shared executor for ``config.n_jobs``
     (one process pool per worker count, reused across calls).
     """
-    from . import kernels as engine_kernels
-
-    config = config or AutoConfig()
-    if executor is None:
-        executor = default_executor(config.n_jobs)
-    ctx = SelectionContext(
-        series=series,
-        config=config,
-        executor=executor,
-        trace=trace or RunTrace(),
-        train=train,
-        test=test,
-    )
-    # Compiled-kernel telemetry: everything this process runs is the delta
-    # around the stage loop; pool workers report their own deltas through
-    # the executor (absorbed at each grid round).
-    kernel_before = engine_kernels.snapshot()
-    for name, fn in PIPELINE_STAGES:
-        with ctx.trace.stage(name):
-            fn(ctx)
-    engine_kernels.absorb_delta(
-        ctx.trace, engine_kernels.delta(kernel_before, engine_kernels.snapshot())
-    )
-    ctx.trace.set_info("kernel_backend", engine_kernels.active_backend())
+    ctx = new_context(series, config, train=train, test=test, executor=executor, trace=trace)
+    (error,) = run_pipeline_batch([ctx])
+    if error is not None:
+        raise error
     return ctx.outcome
+
+
+def run_pipeline_batch(contexts: Sequence[SelectionContext]) -> list[Exception | None]:
+    """Run every stage over many contexts; their HES fits step in lockstep.
+
+    Stages run in :data:`PIPELINE_STAGES` order. A plain stage runs
+    context by context; a lockstep stage (``characterise``, ``refit``)
+    gathers every live context's fit requests into one
+    :func:`~repro.models.ets.fit_many` call per round. A context whose
+    stage raises drops out and gets that exception in the returned list
+    (``None`` for the rest, whose ``outcome`` is set); the others run on.
+
+    Each context's trace gets a stage event per stage it ran, timed as
+    its own work plus an even share of the batched calls it took part
+    in, and the kernel counters of that work, shared calls split the
+    same way: per-context times sum to the batch's, and each kernel call
+    is counted once across the contexts.
+    """
+    ledger = _Ledger(len(contexts))
+    errors: list[Exception | None] = [None] * len(contexts)
+    for name, fn in PIPELINE_STAGES:
+        live = [i for i, error in enumerate(errors) if error is None]
+        # A lone context has nothing to share its fits with.
+        steps = _LOCKSTEP_STEPS.get(fn) if len(live) > 1 else None
+        if steps is None:
+            for i in live:
+                with ledger.charge([i]):
+                    try:
+                        fn(contexts[i])
+                    except Exception as exc:
+                        errors[i] = exc
+        else:
+            _run_lockstep(steps, contexts, live, ledger, errors)
+        for i in live:
+            contexts[i].trace.add_stage(name, ledger.take_seconds(i))
+    backend = engine_kernels.active_backend()
+    for i, ctx in enumerate(contexts):
+        engine_kernels.absorb_delta(ctx.trace, ledger.kernels[i])
+        ctx.trace.set_info("kernel_backend", backend)
+    return errors
+
+
+def _run_lockstep(steps, contexts, live, ledger, errors) -> None:
+    """Drive one lockstep stage over the live contexts, requests merged per round."""
+    waiting: dict[int, tuple] = {}
+
+    def advance(i: int, gen, fits) -> None:
+        with ledger.charge([i]):
+            try:
+                request = next(gen) if fits is None else gen.send(fits)
+            except StopIteration:
+                return
+            except Exception as exc:
+                errors[i] = exc
+                return
+        waiting[i] = (gen, request)
+
+    for i in live:
+        advance(i, steps(contexts[i]), None)
+    while waiting:
+        current = dict(waiting)
+        waiting.clear()
+        with ledger.charge(list(current)):
+            fits = fit_many([job for __, request in current.values() for job in request])
+        start = 0
+        for i, (gen, request) in current.items():
+            advance(i, gen, fits[start : start + len(request)])
+            start += len(request)
+
+
+class _Ledger:
+    """Charges wall time and kernel counters to the contexts that caused them.
+
+    Work done for one context is charged to it; a call made for several
+    is split evenly between them (kernel counters as integers, the
+    remainder to the first), so the charges sum to the work done.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.seconds = [0.0] * n
+        self.kernels: list[dict[str, int]] = [{} for __ in range(n)]
+
+    @contextmanager
+    def charge(self, idxs: list[int]):
+        before = engine_kernels.snapshot()
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            share = (time.perf_counter() - started) / len(idxs)
+            moved = engine_kernels.delta(before, engine_kernels.snapshot())
+            for i in idxs:
+                self.seconds[i] += share
+            for key, value in moved.items():
+                each, extra = divmod(int(round(value)), len(idxs))
+                for rank, i in enumerate(idxs):
+                    self.kernels[i][key] = self.kernels[i].get(key, 0) + each + (rank < extra)
+
+    def take_seconds(self, i: int) -> float:
+        seconds, self.seconds[i] = self.seconds[i], 0.0
+        return seconds

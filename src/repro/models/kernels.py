@@ -440,6 +440,14 @@ def _nonfinite_rows(*arrays) -> np.ndarray:
     return bad
 
 
+def _guarded(x, out, big) -> None:
+    """``out[:] = np.where(np.abs(x) > 1e-12, x, 1e-12)``, without temporaries."""
+    np.abs(x, out=out)
+    np.greater(out, 1e-12, out=big)
+    out.fill(1e-12)
+    np.copyto(out, x, where=big)
+
+
 def _ets_recursion_batch_numpy(
     y, use_trend, seasonal_mode, period, alpha, beta, gamma, phi, level0, trend0, seasonal0
 ):
@@ -476,43 +484,64 @@ def _ets_recursion_batch_numpy(
     one_a = 1.0 - alpha
     one_b = 1.0 - beta
     one_g = 1.0 - gamma
+    # Every step writes into preallocated (B,) buffers: the same
+    # operations on the same operands in the same order as the scalar
+    # loop, without a fresh temporary per operation. ``prev`` and
+    # ``level`` swap buffers each step; ``ld`` is ``level + dt`` before
+    # the update, which the scalar loop computes twice as ``prev + dt``.
+    prev = np.empty(B)
+    dt = np.zeros(B)  # stays 0.0 without a trend: x + 0.0 == x bit for bit
+    ld = np.empty(B)
+    tmp = np.empty(B)
+    tmp2 = np.empty(B)
+    if seasonal_mode == 2:
+        guard = np.empty(B)
+        big = np.empty(B, dtype=bool)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if seasonal_mode == 0:
-            for t in range(n):
-                dt = phi * trend if use_trend else 0.0
-                yt = yT[t]
-                errorsT[t] = yt - (level + dt)
-                prev = level
-                level = alpha * yt + one_a * (prev + dt)
-                if use_trend:
-                    trend = beta * (level - prev) + one_b * dt
-        elif seasonal_mode == 1:
-            for t in range(n):
-                dt = phi * trend if use_trend else 0.0
-                s_idx = t % period
-                s = seasT[s_idx]
-                yt = yT[t]
-                errorsT[t] = yt - (level + dt + s)
-                prev = level
-                level = alpha * (yt - s) + one_a * (prev + dt)
-                seasT[s_idx] = gamma * (yt - prev - dt) + one_g * s
-                if use_trend:
-                    trend = beta * (level - prev) + one_b * dt
-        else:
-            for t in range(n):
-                dt = phi * trend if use_trend else 0.0
-                s_idx = t % period
-                s = seasT[s_idx]
-                yt = yT[t]
-                errorsT[t] = yt - (level + dt) * s
-                prev = level
-                denom = np.where(np.abs(s) > 1e-12, s, 1e-12)
-                level = alpha * (yt / denom) + one_a * (prev + dt)
-                base = prev + dt
-                base = np.where(np.abs(base) > 1e-12, base, 1e-12)
-                seasT[s_idx] = gamma * (yt / base) + one_g * s
-                if use_trend:
-                    trend = beta * (level - prev) + one_b * dt
+        for t in range(n):
+            if use_trend:
+                mul(phi, trend, out=dt)
+            yt = yT[t]
+            add(level, dt, out=ld)
+            if seasonal_mode == 0:
+                sub(yt, ld, out=errorsT[t])
+                prev, level = level, prev
+                mul(alpha, yt, out=tmp)
+            else:
+                s = seasT[t % period]  # a view: the update below writes it back
+                if seasonal_mode == 1:
+                    add(ld, s, out=tmp)
+                    sub(yt, tmp, out=errorsT[t])
+                    prev, level = level, prev
+                    sub(yt, s, out=tmp)
+                    mul(alpha, tmp, out=tmp)
+                else:
+                    mul(ld, s, out=tmp)
+                    sub(yt, tmp, out=errorsT[t])
+                    prev, level = level, prev
+                    _guarded(s, guard, big)
+                    div(yt, guard, out=tmp)
+                    mul(alpha, tmp, out=tmp)
+            mul(one_a, ld, out=tmp2)
+            add(tmp, tmp2, out=level)
+            if seasonal_mode == 1:
+                sub(yt, prev, out=tmp)
+                sub(tmp, dt, out=tmp)
+                mul(gamma, tmp, out=tmp)
+                mul(one_g, s, out=tmp2)
+                add(tmp, tmp2, out=s)
+            elif seasonal_mode == 2:
+                _guarded(ld, guard, big)
+                div(yt, guard, out=tmp)
+                mul(gamma, tmp, out=tmp)
+                mul(one_g, s, out=tmp2)
+                add(tmp, tmp2, out=s)
+            if use_trend:
+                sub(level, prev, out=tmp)
+                mul(beta, tmp, out=tmp)
+                mul(one_b, dt, out=tmp2)
+                add(tmp, tmp2, out=trend)
     errors = np.ascontiguousarray(errorsT.T)
     seas = np.ascontiguousarray(seasT.T)
     bad = _nonfinite_rows(errors, level[:, None], trend[:, None], seas)

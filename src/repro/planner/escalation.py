@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ..engine.telemetry import RunTrace
-from ..selection.staleness import StalenessReason
+from ..selection.staleness import ACCURACY_REASONS
 from ..service.estate import WorkloadKey
 from ..stream.alerts import AlertKind
 from .blueprint import (
@@ -51,6 +51,10 @@ __all__ = ["PlanProposal", "PlanEscalator", "RESOLVED_PROBABILITY"]
 #: A blueprint "eliminates" the forecast breach when its residual breach
 #: probability under the planner's own scoring drops below this.
 RESOLVED_PROBABILITY = 0.05
+
+#: Refit reasons that count as drift evidence: the accuracy rule fired,
+#: by a CUSUM trip, a failed roll or degraded RMSE.
+_DRIFT_EVIDENCE = frozenset(reason.value for reason in ACCURACY_REASONS)
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ class PlanEscalator:
             if event.kind is AlertKind.ESCALATED:
                 self.tracker.observe_escalation(event.key)
         for refit in tick.refits:
-            if refit.reason == StalenessReason.DEGRADED.value:
+            if refit.reason in _DRIFT_EVIDENCE:
                 self.tracker.observe_drift(refit.key)
         for window in windows:
             self.tracker.observe_utilisation(

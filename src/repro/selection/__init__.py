@@ -1,7 +1,7 @@
 """Self-selection / self-configuration of forecast models (paper Section 5)."""
 
 from .backtest import BacktestResult, compare_backtests, rolling_backtest
-from .auto import AutoConfig, SelectionOutcome, auto_forecast, auto_select
+from .auto import AutoConfig, SelectionOutcome, auto_forecast, auto_select, auto_select_many
 from .diagnostics import ResidualDiagnostics, diagnose_residuals, jarque_bera
 from .correlogram import OrderSuggestion, pruned_sarimax_grid, suggest_orders
 from .grid import (
@@ -19,6 +19,7 @@ __all__ = [
     "AutoConfig",
     "SelectionOutcome",
     "auto_select",
+    "auto_select_many",
     "auto_forecast",
     "CandidateSpec",
     "GridResult",

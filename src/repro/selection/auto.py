@@ -28,6 +28,7 @@ the pipeline stages call back into.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -45,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.executor import Executor
     from ..engine.telemetry import RunTrace
 
-__all__ = ["AutoConfig", "SelectionOutcome", "auto_select", "auto_forecast"]
+__all__ = ["AutoConfig", "SelectionOutcome", "auto_select", "auto_select_many", "auto_forecast"]
 
 
 @dataclass(frozen=True)
@@ -239,29 +240,38 @@ def _candidate_periods(series: TimeSeries, config: AutoConfig) -> list[int]:
     return seen
 
 
-def _fit_hes(
-    train: TimeSeries, test: TimeSeries, period: int | None
-) -> tuple[FittedModel, float]:
-    """The HES branch: Holt–Winters, additive vs multiplicative by RMSE.
+def _hes_variants(train: TimeSeries, period: int | None) -> list:
+    """The HES branch's candidates: Holt–Winters, additive and multiplicative.
 
-    When no seasonal period is usable (e.g. 92 weekly observations cannot
-    support a 52-week cycle) the branch degrades to Holt's linear trend
-    and simple exponential smoothing.
+    The multiplicative variant needs a strictly positive series. When no
+    seasonal period is usable (e.g. 92 weekly observations cannot support
+    a 52-week cycle) the branch degrades to Holt's linear trend and simple
+    exponential smoothing.
     """
-    from ..core.metrics import rmse
     from ..models.ets import Holt, SimpleExpSmoothing
 
     if period is not None and len(train) >= 2 * period + 1:
         candidates: list = [HoltWinters(period, seasonal="add")]
         if np.all(train.values > 0):
             candidates.append(HoltWinters(period, seasonal="mul"))
-    else:
-        candidates = [Holt(), Holt(damped=True), SimpleExpSmoothing()]
+        return candidates
+    return [Holt(), Holt(damped=True), SimpleExpSmoothing()]
+
+
+def _pick_hes(fits: list, test: TimeSeries) -> tuple[FittedModel, float]:
+    """The test-RMSE winner among fitted variants (exceptions are skipped).
+
+    Variants are scored on their point forecast alone: the band is not
+    part of the RMSE, and a multiplicative band costs a path simulation.
+    """
+    from ..core.metrics import rmse
+
     best_model, best_rmse = None, float("inf")
-    for spec in candidates:
+    for fitted in fits:
+        if isinstance(fitted, Exception):
+            continue
         try:
-            fitted = spec.fit(train)
-            score = rmse(test, fitted.forecast(len(test)).mean)
+            score = rmse(test, fitted.point_forecast(len(test)))
         except Exception:
             continue
         if score < best_rmse:
@@ -271,20 +281,18 @@ def _fit_hes(
     return best_model, best_rmse
 
 
-def _refit_hes(hes_model: FittedModel, series: TimeSeries) -> FittedModel:
-    """Refit the winning smoothing variant on the full series."""
+def _hes_refit_model(hes_model: FittedModel):
+    """An unfitted copy of the winning smoothing variant, to refit it."""
     from ..models.ets import Holt, SimpleExpSmoothing
 
     spec = hes_model.spec
     if spec.seasonal:
-        rebuilt = HoltWinters(
+        return HoltWinters(
             spec.period, seasonal=spec.seasonal, trend=spec.trend, damped=spec.damped
         )
-    elif spec.trend:
-        rebuilt = Holt(damped=spec.damped)
-    else:
-        rebuilt = SimpleExpSmoothing()
-    return rebuilt.fit(series)
+    if spec.trend:
+        return Holt(damped=spec.damped)
+    return SimpleExpSmoothing()
 
 
 def auto_select(
@@ -314,6 +322,24 @@ def auto_select(
     from ..engine.pipeline import run_pipeline
 
     return run_pipeline(series, config=config, train=train, test=test, executor=executor)
+
+
+def auto_select_many(
+    series: Sequence[TimeSeries], config: AutoConfig | None = None
+) -> list[SelectionOutcome | Exception]:
+    """Run the Figure 4 pipeline on many series at once.
+
+    Returns one item per series, in order: the outcome :func:`auto_select`
+    would return for it, or the exception it would raise. The series'
+    HES fits step in lockstep, each round's objectives one batched
+    recursion (:func:`repro.engine.pipeline.run_pipeline_batch`); this is
+    how a restart or an onboarding wave of keys is selected.
+    """
+    from ..engine.pipeline import new_context, run_pipeline_batch
+
+    contexts = [new_context(one, config) for one in series]
+    errors = run_pipeline_batch(contexts)
+    return [ctx.outcome if error is None else error for ctx, error in zip(contexts, errors)]
 
 
 def auto_forecast(

@@ -9,18 +9,19 @@ period". :class:`ModelMonitor` encodes those rules:
 * **age**: a stored model expires ``max_age_seconds`` (default 7 days)
   after it was fitted;
 * **accuracy**: each new batch of observations is compared against the
-  model's forecast; when the rolling RMSE exceeds
-  ``degradation_factor ×`` the RMSE recorded at selection time, the model
-  is declared stale (observations with no finite forecast to compare
-  against are no evidence either way);
+  model's forecast; once at least three pairs are scoreable and the
+  rolling RMSE exceeds ``degradation_factor ×`` the RMSE recorded at
+  selection time, the model is declared stale (observations with no
+  finite forecast to compare against are no evidence either way);
 * **data growth**: when the observation count grows by more than
   ``growth_factor`` relative to the training size, retraining is advised
   even if accuracy still holds.
 
 The rule order lives in :func:`staleness_verdict` alone. Its accuracy
-input is a flag, so the batch
-:class:`~repro.service.planner.CapacityPlanner`'s monitor (rolling RMSE)
-and the streaming scheduler (a CUSUM trip on roll innovations) share one
+input is a flag plus the reason that names it, so the batch
+:class:`~repro.service.planner.CapacityPlanner`'s monitor (rolling RMSE,
+``DEGRADED``) and the streaming scheduler (a CUSUM trip on roll
+innovations, ``DRIFT``, or a roll that raised, ``ROLL_FAILED``) share one
 precedence.
 """
 
@@ -38,7 +39,13 @@ from ..exceptions import DataError
 from ..models.base import FittedModel, Forecast
 from .auto import SelectionOutcome
 
-__all__ = ["StalenessVerdict", "StalenessReason", "ModelMonitor", "staleness_verdict"]
+__all__ = [
+    "StalenessVerdict",
+    "StalenessReason",
+    "ACCURACY_REASONS",
+    "ModelMonitor",
+    "staleness_verdict",
+]
 
 WEEK_SECONDS = 7 * 24 * 3600
 #: Stale once the observations since fitting reach this share of the
@@ -52,7 +59,15 @@ class StalenessReason(enum.Enum):
     FRESH = "fresh"
     EXPIRED = "max age exceeded"
     DEGRADED = "rmse degraded beyond threshold"
+    DRIFT = "cusum drift trip"
+    ROLL_FAILED = "model roll failed"
     DATA_GROWTH = "observation count grew significantly"
+
+
+#: The reasons the accuracy rule reports, whichever signal fired it.
+ACCURACY_REASONS = frozenset(
+    {StalenessReason.DEGRADED, StalenessReason.DRIFT, StalenessReason.ROLL_FAILED}
+)
 
 
 @dataclass(frozen=True)
@@ -82,19 +97,24 @@ def staleness_verdict(
     current_rmse: float | None = None,
     max_age_seconds: float = WEEK_SECONDS,
     growth_factor: float = GROWTH_FACTOR,
+    signal: StalenessReason = StalenessReason.DEGRADED,
 ) -> StalenessVerdict:
     """Apply the staleness rules in order; the first one that triggers wins.
 
     Expiry beats accuracy, and accuracy beats data growth. ``degraded``
-    is the accuracy signal however the caller measured it: rolling RMSE
-    beyond a multiple of the baseline, or a CUSUM drift trip.
-    ``observed`` counts the observations since fitting and
-    ``train_size`` the observations the model was fitted on.
+    is the accuracy signal however the caller measured it, and
+    ``signal`` (one of :data:`ACCURACY_REASONS`) names it in the
+    verdict: rolling RMSE beyond a multiple of the baseline
+    (``DEGRADED``), a CUSUM drift trip (``DRIFT``) or a roll that raised
+    (``ROLL_FAILED``). ``observed`` counts the observations since
+    fitting and ``train_size`` the observations the model was fitted on.
     """
+    if signal not in ACCURACY_REASONS:
+        raise DataError(f"{signal} is not an accuracy signal")
     if age_seconds > max_age_seconds:
         reason = StalenessReason.EXPIRED
     elif degraded:
-        reason = StalenessReason.DEGRADED
+        reason = signal
     elif observed >= growth_factor * train_size:
         reason = StalenessReason.DATA_GROWTH
     else:
@@ -171,26 +191,32 @@ class ModelMonitor:
     def n_observed(self) -> int:
         return len(self._observed)
 
-    def _rolling_rmse(self) -> float | None:
+    def _rolling_rmse(self) -> tuple[float | None, int]:
+        """RMSE over the scoreable (observation, forecast) pairs, and their count.
+
+        A pair is scoreable when both values are finite; with none, there
+        is no accuracy evidence and the RMSE is ``None``.
+        """
         if not self._observed:
-            return None
+            return None, 0
         n = len(self._observed)
         if self._forecast_cache is None or self._forecast_cache.size < n:
             self._forecast_cache = self._forecast(n).mean.values
         observed, predicted = np.asarray(self._observed), self._forecast_cache[:n]
-        if not (np.isfinite(observed) & np.isfinite(predicted)).any():
-            return None  # nothing scoreable yet: no accuracy evidence
-        return rmse(observed, predicted)
+        scored = int(np.count_nonzero(np.isfinite(observed) & np.isfinite(predicted)))
+        if not scored:
+            return None, 0
+        return rmse(observed, predicted), scored
 
     def check(self, now: float | None = None) -> StalenessVerdict:
         """Evaluate all staleness rules; first triggered rule wins."""
         step = self.model.train.frequency.seconds
         if now is None:
             now = self.fitted_at + self.n_observed * step
-        current = self._rolling_rmse()
+        current, scored = self._rolling_rmse()
         degraded = (
             current is not None
-            and self.n_observed >= 3
+            and scored >= 3
             and self.baseline_rmse > 0
             and current > self.degradation_factor * self.baseline_rmse
         )

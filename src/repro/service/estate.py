@@ -11,9 +11,10 @@ is orchestration:
   out across the pairs** on a shared
   :class:`~repro.engine.executor.Executor` — pass a
   :class:`~repro.engine.PoolExecutor` (or construct the planner with one)
-  and the estate parallelises across series, one worker per workload,
-  with grid evaluation inside each worker kept serial so the pool is
-  never nested;
+  and the estate parallelises across series, one chunk of workloads per
+  worker call, with grid evaluation inside each worker kept serial so
+  the pool is never nested; the workloads of one call fit their HES
+  variants in lockstep;
 * systems flagged *in-fault* by the crash rules are excluded from
   forecasting and surfaced separately ("manual override is needed to
   accommodate systems that are in-fault");
@@ -32,13 +33,14 @@ workload whose selection fails (or whose worker dies) lands in
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field, replace
 
 from ..core.timeseries import TimeSeries
-from ..engine.executor import Executor, SerialExecutor
+from ..engine.executor import Executor, SerialExecutor, batch_task
 from ..engine.telemetry import RunTrace
 from ..exceptions import DataError, SelectionError
-from ..selection.auto import AutoConfig, SelectionOutcome, auto_select
+from ..selection.auto import AutoConfig, SelectionOutcome, auto_select_many
 from ..shocks.faults import FaultPolicy, FaultVerdict, discard_faults
 from .selection_cache import SelectionCache
 from .thresholds import BreachPrediction, BreachSeverity, predict_breach
@@ -143,19 +145,13 @@ class EstateReport:
         return lines
 
 
-def _evaluate_entry(
-    entry: EstateEntry,
-    config: AutoConfig,
-    fault_policy: FaultPolicy,
-    horizon: int | None,
-) -> EstateEntry:
-    """Process one workload: repair → fault check → select → advise.
+def _screen_entry(entry: EstateEntry, fault_policy: FaultPolicy):
+    """Repair and fault-check one workload (Figure 4 order: repair first).
 
-    Module-level and argument-pure so a :class:`PoolExecutor` can ship it
-    to worker processes; mutates and returns ``entry``.
+    Returns the fault analysis whose series selection runs on, or
+    ``None`` when the entry is settled here: ``FAILED`` (unrepairable)
+    or ``IN_FAULT``.
     """
-    period = entry.series.frequency.default_period
-    # Figure 4 order: repair agent gaps first, then fault analysis.
     from ..core.preprocessing import interpolate_missing
 
     try:
@@ -163,18 +159,26 @@ def _evaluate_entry(
     except DataError as exc:
         entry.status = WorkloadStatus.FAILED
         entry.detail = str(exc)
-        return entry
-    analysis = discard_faults(repaired, period=period, policy=fault_policy)
+        return None
+    analysis = discard_faults(
+        repaired, period=entry.series.frequency.default_period, policy=fault_policy
+    )
     if analysis.verdict is FaultVerdict.IN_FAULT:
         entry.status = WorkloadStatus.IN_FAULT
         entry.detail = analysis.describe()
-        return entry
-    try:
-        outcome = auto_select(analysis.series, config=config)
-    except (SelectionError, DataError) as exc:
+        return None
+    return analysis
+
+
+def _settle_entry(entry, analysis, selected, horizon) -> EstateEntry:
+    """Record a workload's selection outcome; unexpected errors propagate."""
+    if isinstance(selected, (SelectionError, DataError)):
         entry.status = WorkloadStatus.FAILED
-        entry.detail = str(exc)
+        entry.detail = str(selected)
         return entry
+    if isinstance(selected, Exception):
+        raise selected
+    outcome = selected
     entry.status = WorkloadStatus.MODELLED
     entry.model_label = outcome.model.label()
     entry.test_rmse = outcome.test_rmse
@@ -194,10 +198,55 @@ def _advise(entry: EstateEntry, outcome: SelectionOutcome, horizon: int | None) 
     entry.advisory = predict_breach(forecast, entry.threshold)
 
 
-def _evaluate_entry_task(payload) -> EstateEntry:
-    """Executor task wrapper: unpack one ``(entry, config, policy, horizon)``."""
-    entry, config, fault_policy, horizon = payload
-    return _evaluate_entry(entry, config, fault_policy, horizon)
+@batch_task
+def _evaluate_entries_task(payloads: list) -> list[tuple[object, float]]:
+    """Executor batch task: repair → fault check → select → advise, for many.
+
+    Each payload is ``(entry, config, fault_policy, horizon)``; one call
+    carries one planner's workloads, so they share ``config``. The
+    workloads that reach selection go through one
+    :func:`~repro.selection.auto.auto_select_many`, so their HES fits
+    step in lockstep; each comes out as it would alone. Returns one
+    ``(entry or exception, seconds)`` per payload: a workload's seconds
+    are its own work and its selection's charged stage times plus an
+    even share of the rest of the call, so they sum to its wall time.
+    Module-level and argument-pure so a pool worker can run it.
+    """
+    started = time.perf_counter()
+    results: list = [None] * len(payloads)
+    seconds = [0.0] * len(payloads)
+    selecting: list[tuple[int, object]] = []
+    for i, (entry, __, fault_policy, __) in enumerate(payloads):
+        t0 = time.perf_counter()
+        try:
+            analysis = _screen_entry(entry, fault_policy)
+        except Exception as exc:
+            results[i] = exc
+        else:
+            if analysis is None:
+                results[i] = entry
+            else:
+                selecting.append((i, analysis))
+        seconds[i] += time.perf_counter() - t0
+    selections: list = []
+    if selecting:
+        config = payloads[selecting[0][0]][1]
+        try:
+            selections = auto_select_many([a.series for __, a in selecting], config)
+        except Exception as exc:  # the whole selection call died
+            selections = [exc] * len(selecting)
+    for (i, analysis), selected in zip(selecting, selections):
+        entry, __, __, horizon = payloads[i]
+        t0 = time.perf_counter()
+        try:
+            results[i] = _settle_entry(entry, analysis, selected, horizon)
+        except Exception as exc:
+            results[i] = exc
+        if isinstance(selected, SelectionOutcome) and selected.trace is not None:
+            seconds[i] += selected.trace.total_seconds()
+        seconds[i] += time.perf_counter() - t0
+    spare = (time.perf_counter() - started - sum(seconds)) / len(payloads)
+    return [(result, own + spare) for result, own in zip(results, seconds)]
 
 
 class EstatePlanner:
@@ -338,12 +387,15 @@ class EstatePlanner:
         """Process every pending workload and build the fleet report.
 
         Workloads fan out across ``executor`` (falling back to the
-        planner's default, then to serial in-process execution). On a
-        pool executor each workload's selection runs in its own worker
-        with inner grid parallelism pinned to one process — parallelism
-        across series, not nested pools. Workloads are processed
-        independently; one pathological series cannot take the estate
-        report down (it lands in ``failed``).
+        planner's default, then to serial in-process execution) as one
+        batch task: run serially, every pending workload is selected in
+        one :func:`~repro.engine.pipeline.run_pipeline_batch`, so a
+        restart's or an onboarding wave's HES fits step in lockstep; on
+        a pool executor each chunk is, in its worker, with inner grid
+        parallelism pinned to one process — parallelism across series,
+        not nested pools. Workloads are processed independently: each
+        ends as it would alone, and one pathological series cannot take
+        the estate report down (it lands in ``failed``).
 
         Pending workloads first consult the selection cache: an entry
         whose series and config fingerprints match a stored (not yet
@@ -383,7 +435,7 @@ class EstatePlanner:
         with trace.stage(
             "fan-out", detail=f"{len(payloads)} workloads, {'pool' if fanned_out else 'serial'}"
         ):
-            reports = executor.run(_evaluate_entry_task, payloads)
+            reports = executor.run(_evaluate_entries_task, payloads)
         trace.record_task_reports(reports)
 
         for key, task in zip(pending, reports):

@@ -98,6 +98,7 @@ from ..models.naive import Naive, SeasonalNaive
 from ..planner.scoring import ForecastBand
 from ..selection.auto import SelectionOutcome
 from ..selection.staleness import (
+    ACCURACY_REASONS,
     WEEK_SECONDS,
     StalenessReason,
     StalenessVerdict,
@@ -685,20 +686,23 @@ class ForecastScheduler:
         The rules and their order are
         :func:`~repro.selection.staleness.staleness_verdict`'s; the
         accuracy signal is the CUSUM drift test on the roll's
-        standardized innovations instead of a fresh forecast-vs-observed
-        RMSE, so staying healthy costs O(new windows) per key per tick.
-        A roll that raised (``rolled is None``) counts as degraded: the
-        key is re-selected rather than served from an untrusted state.
+        standardized innovations (``DRIFT``) instead of a fresh
+        forecast-vs-observed RMSE, so staying healthy costs O(new
+        windows) per key per tick. A roll that raised (``rolled is
+        None``) fires the accuracy rule as ``ROLL_FAILED``: the key is
+        re-selected rather than served from an untrusted state. Both
+        count as ``stream_drift_refits``.
         """
         live = self._live[kid]
         if rolled is None:
-            tripped = True
+            tripped, signal = True, StalenessReason.ROLL_FAILED
         else:
             live.model, innovations = rolled
             self.trace.count("stream_rolls_applied", int(innovations.size))
             sigma2 = float(getattr(live.source.model, "sigma2", 0.0))
             scale = math.sqrt(sigma2) if sigma2 > 0 and math.isfinite(sigma2) else 1.0
             tripped = live.detector.update_many(np.asarray(innovations, dtype=float) / scale)
+            signal = StalenessReason.DRIFT
 
         verdict = staleness_verdict(
             age_seconds=max(0.0, now - live.fitted_at) if math.isfinite(now) else 0.0,
@@ -706,8 +710,9 @@ class ForecastScheduler:
             observed=len(live.model.train) - live.initial_len,
             train_size=live.initial_len,
             baseline_rmse=float(live.source.test_rmse),
+            signal=signal,
         )
-        if verdict.reason is StalenessReason.DEGRADED:
+        if verdict.reason in ACCURACY_REASONS:
             self.trace.count("stream_drift_refits")
         if verdict.stale:
             self._live.pop(kid, None)

@@ -113,5 +113,25 @@ def stub_selection(monkeypatch) -> list[str]:
             shock_calendar=None,
         )
 
-    monkeypatch.setattr("repro.service.estate.auto_select", fake_auto_select)
+    monkeypatch.setattr("repro.service.estate.auto_select_many", per_series(fake_auto_select))
     return calls
+
+
+def per_series(select):
+    """Adapt a one-series selection stub to the estate's batch seam.
+
+    ``EstatePlanner.report`` selects every pending series in one
+    ``auto_select_many`` call, which returns an outcome or the raised
+    exception per series.
+    """
+
+    def select_many(series_list, config=None):
+        out = []
+        for series in series_list:
+            try:
+                out.append(select(series, config=config))
+            except Exception as exc:
+                out.append(exc)
+        return out
+
+    return select_many

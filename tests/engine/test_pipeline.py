@@ -1,5 +1,7 @@
 """Tests for the staged Figure 4 pipeline, stage by stage."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from repro.engine import (
     PoolExecutor,
     SelectionContext,
     SerialExecutor,
+    new_context,
     run_pipeline,
+    run_pipeline_batch,
     stage_augment,
     stage_branch_choose,
     stage_characterise,
@@ -21,7 +25,6 @@ from repro.engine import (
 )
 from repro.exceptions import SelectionError
 from repro.selection import AutoConfig, CandidateSpec, GridResult, auto_select
-from repro.selection.auto import _fit_hes
 
 
 def hourly_series(n=400, seed=0, trend=0.0):
@@ -279,10 +282,10 @@ class TestStageRefitHesRegression:
         # flavour rather than resetting to additive.
         series = hourly_series(n=400, trend=0.1)
         train, test = series.split(360)
-        hes_model, hes_rmse = _fit_hes(train, test, 24)
-        ctx = make_ctx(series, config=AutoConfig(technique="auto"), train=train, test=test)
-        ctx.hes_model, ctx.hes_rmse = hes_model, hes_rmse
-        ctx.primary = 24
+        ctx = make_ctx(series, config=AutoConfig(technique="hes"), train=train, test=test)
+        stage_characterise(ctx)
+        hes_model = ctx.hes_model
+        assert ctx.primary == 24
         ctx.winner = "hes"
         stage_refit(ctx)
         assert ctx.outcome.model.spec.seasonal == hes_model.spec.seasonal
@@ -340,3 +343,65 @@ class TestRunPipeline:
                 rtol=1e-10,
             )
         assert pooled.best_spec == serial.best_spec
+
+
+class TestRunPipelineBatch:
+    """Many contexts at once: each ends as it would alone."""
+
+    @staticmethod
+    def _outcome_bits(outcome):
+        model = outcome.model
+        return (
+            outcome.technique,
+            model.label(),
+            outcome.best_spec,
+            outcome.test_rmse,
+            outcome.hes_rmse,
+            model.residuals.tobytes(),
+            [(r.spec, r.rmse) for r in outcome.leaderboard],
+            outcome.trace.lineage,
+            [e.name for e in outcome.trace.events],
+        )
+
+    def test_batch_equals_each_context_alone(self):
+        cases = [
+            (hourly_series(seed=1), AutoConfig(technique="hes")),
+            (hourly_series(seed=2, trend=0.02), AutoConfig(detect_shock_calendar=False)),
+            (hourly_series(n=30, seed=3), AutoConfig(technique="hes")),  # too short
+            (hourly_series(seed=4), AutoConfig(technique="hes", refit_on_full=False)),
+            (hourly_series(seed=5).with_values(hourly_series(seed=5).values - 50.0),
+             AutoConfig(technique="hes")),  # crosses zero: no multiplicative variant
+        ]
+        contexts = [new_context(series, config, executor=SerialExecutor())
+                    for series, config in cases]
+        errors = run_pipeline_batch(contexts)
+        for (series, config), ctx, error in zip(cases, contexts, errors):
+            try:
+                alone = run_pipeline(series, config=config, executor=SerialExecutor())
+            except Exception as exc:
+                assert type(error) is type(exc) and str(error) == str(exc)
+                assert ctx.outcome is None
+                continue
+            assert error is None
+            assert self._outcome_bits(ctx.outcome) == self._outcome_bits(alone)
+        assert errors[2] is not None
+
+    def test_shared_fits_are_charged_evenly_and_counted_once(self):
+        from repro.models import kernels
+
+        contexts = [new_context(hourly_series(seed=s), AutoConfig(technique="hes"),
+                                executor=SerialExecutor()) for s in range(10)]
+        before = kernels.stats_snapshot()
+        started = time.perf_counter()
+        run_pipeline_batch(contexts)
+        wall = time.perf_counter() - started
+        after = kernels.stats_snapshot()
+        charged = sum(ctx.trace.total_seconds() for ctx in contexts)
+        assert charged <= wall
+        assert charged == pytest.approx(wall, rel=0.05)
+        for name in ("ets_recursion_calls", "ets_recursion_batch_calls"):
+            counted = sum(ctx.trace.counters.get(f"kernel_{name}", 0) for ctx in contexts)
+            assert counted == after[f"kernel_{name}"] - before[f"kernel_{name}"]
+        # Ten keys x two variants x four points: the rounds ran batched.
+        batched = "kernel_ets_recursion_batch_calls"
+        assert after[batched] > before[batched]

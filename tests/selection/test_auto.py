@@ -97,6 +97,28 @@ class TestAutoSelect:
         assert len(outcome.model.train) == 984
 
 
+class TestHesScoring:
+    def test_variants_are_scored_on_the_point_forecast(self, shocked_long):
+        from repro.models import kernels
+        from repro.models.ets import HoltWinters
+
+        train, test = shocked_long.train_test_split()
+        # The ranking as it was made with full forecasts, bands included.
+        scored = []
+        for seasonal in ("add", "mul"):
+            fitted = HoltWinters(24, seasonal=seasonal).fit(train)
+            scored.append((rmse(test, fitted.forecast(len(test)).mean), seasonal))
+        best_rmse, best_variant = min(scored)
+
+        before = kernels.stats_snapshot()
+        outcome = auto_select(shocked_long, config=AutoConfig(technique="hes"))
+        after = kernels.stats_snapshot()
+        for name in ("ets_mul_paths", "ets_mul_paths_batch"):
+            assert after[f"kernel_{name}_calls"] == before[f"kernel_{name}_calls"]
+        assert outcome.hes_rmse == best_rmse
+        assert outcome.model.spec.seasonal == best_variant
+
+
 class TestAutoForecast:
     def test_default_horizon_from_table1(self, shocked_long):
         forecast, outcome = auto_forecast(shocked_long, config=AutoConfig())

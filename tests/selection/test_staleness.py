@@ -75,6 +75,27 @@ class TestDegradationRule:
         assert verdict.current_rmse == pytest.approx(50.0)
         assert verdict.reason is StalenessReason.DEGRADED
 
+    def test_unscored_observations_do_not_arm_the_rule(self, fitted):
+        # Three observations with nothing to score, then one far-off
+        # finite one: a single scored pair is not enough evidence.
+        monitor = ModelMonitor(model=fitted, baseline_rmse=1.5)
+        monitor.observe([np.nan, np.nan, np.inf])
+        monitor.observe([fitted.forecast(4).mean.values[3] + 50.0])
+        verdict = monitor.check()
+        assert monitor.n_observed == 4
+        assert verdict.current_rmse == pytest.approx(50.0)
+        assert verdict.reason is StalenessReason.FRESH
+
+    def test_three_scored_points_arm_the_rule(self, fitted):
+        monitor = ModelMonitor(model=fitted, baseline_rmse=1.5)
+        forecast = fitted.forecast(5).mean.values
+        monitor.observe([np.nan, forecast[1] + 50.0, np.inf, forecast[3] + 50.0])
+        assert monitor.check().reason is StalenessReason.FRESH  # two scored
+        monitor.observe([forecast[4] + 50.0])
+        verdict = monitor.check()
+        assert verdict.current_rmse == pytest.approx(50.0)
+        assert verdict.reason is StalenessReason.DEGRADED
+
     def test_incremental_observe(self, fitted):
         monitor = ModelMonitor(model=fitted, baseline_rmse=1.5)
         forecast = fitted.forecast(10).mean.values
@@ -119,6 +140,25 @@ class TestRuleOrder:
         assert verdict.stale is (reason is not StalenessReason.FRESH)
         assert verdict.age_seconds == age
 
+
+    @pytest.mark.parametrize(
+        "signal", [StalenessReason.DRIFT, StalenessReason.ROLL_FAILED, StalenessReason.DEGRADED]
+    )
+    def test_accuracy_signal_names_the_verdict(self, signal):
+        kwargs = dict(observed=10, train_size=10, baseline_rmse=1.0, signal=signal)
+        assert staleness_verdict(age_seconds=0.0, degraded=True, **kwargs).reason is signal
+        # The rule order is the same whichever signal fired.
+        expired = staleness_verdict(age_seconds=WEEK_SECONDS + 1, degraded=True, **kwargs)
+        assert expired.reason is StalenessReason.EXPIRED
+        grown = staleness_verdict(age_seconds=0.0, degraded=False, **kwargs)
+        assert grown.reason is StalenessReason.DATA_GROWTH
+
+    def test_signal_must_be_an_accuracy_reason(self):
+        with pytest.raises(DataError):
+            staleness_verdict(
+                age_seconds=0.0, degraded=True, observed=0, train_size=10,
+                baseline_rmse=1.0, signal=StalenessReason.EXPIRED,
+            )
 
 class TestValidation:
     def test_negative_baseline_rejected(self, fitted):

@@ -184,3 +184,98 @@ class TestFanOut:
     def test_run_is_report_alias(self):
         report = _small_estate().run()
         assert len(report.modelled) == 3
+
+
+def _entry_fingerprint(entry):
+    """What a report says about one workload, fit bits included."""
+    fit = None
+    if entry.outcome is not None:
+        model = entry.outcome.model
+        fit = (
+            model.label(),
+            model.spec,
+            np.array([model.alpha, model.beta, model.gamma, model.phi, model.sigma2]).tobytes(),
+            model.residuals.tobytes(),
+            model.seasonal_state.tobytes(),
+            entry.outcome.hes_rmse,
+        )
+    advisory = None
+    if entry.advisory is not None:
+        advisory = (entry.advisory.severity, entry.advisory.first_breach_step)
+    rmse_bits = np.float64(entry.test_rmse).tobytes()  # NaN until modelled
+    return (entry.key, entry.status, entry.model_label, rmse_bits, entry.detail, advisory, fit)
+
+
+class TestLockstepReport:
+    """A serial report fits every pending workload's HES variants in lockstep."""
+
+    @staticmethod
+    def _register(planner, k):
+        if k == 7:
+            series = in_fault_series(seed=k)
+        elif k == 13:
+            series = seasonal_series(n=30, seed=k)  # too short to split
+        elif k == 21:
+            series = seasonal_series(n=400, seed=k, level=5.0)  # crosses zero: no mul
+        else:
+            series = seasonal_series(n=400, seed=k, level=40.0 + k, trend=0.01 * (k % 3))
+        planner.register("acme", f"db{k:02d}", "cpu", series, threshold=60.0 + k)
+
+    @staticmethod
+    def _planner():
+        return EstatePlanner(
+            config=AutoConfig(technique="hes", n_jobs=1, detect_shock_calendar=False)
+        )
+
+    def test_forty_keys_equal_their_per_key_reports(self):
+        from repro.models import kernels
+
+        planner = self._planner()
+        for k in range(40):
+            self._register(planner, k)
+        before = kernels.stats_snapshot()
+        report = planner.report()
+        after = kernels.stats_snapshot()
+        statuses = {e.key.workload: e.status for e in report.entries}
+        assert statuses["db07"] is WorkloadStatus.IN_FAULT
+        assert statuses["db13"] is WorkloadStatus.FAILED
+        assert statuses["db21"] is WorkloadStatus.MODELLED
+        assert len(report.modelled) == 38
+        # Wide rounds ran as batched recursions.
+        batched = "kernel_ets_recursion_batch_calls"
+        assert after[batched] > before[batched]
+
+        for entry in report.entries:
+            alone = self._planner()
+            self._register(alone, int(entry.key.workload[2:]))
+            (single,) = alone.report().entries
+            assert _entry_fingerprint(entry) == _entry_fingerprint(single)
+            if entry.status is WorkloadStatus.MODELLED:
+                # Each selected workload keeps its own trace and stage events.
+                assert entry.trace is not None and entry.trace is not single.trace
+                names = [e.name for e in entry.trace.events]
+                assert names == [e.name for e in single.trace.events]
+
+        # One workload event per selected key; their times add up to the fan-out's.
+        workloads = [e for e in report.trace.events if e.name == "workload"]
+        assert len(workloads) == 40
+        fan_out = next(e for e in report.trace.events if e.name == "fan-out")
+        assert sum(e.seconds for e in workloads) == pytest.approx(fan_out.seconds, rel=0.02)
+        # Each smoothing-recursion call is counted once across the entries.
+        for name in ("ets_recursion_calls", "ets_recursion_batch_calls",
+                     "ets_recursion_batch_rows"):
+            moved = after[f"kernel_{name}"] - before[f"kernel_{name}"]
+            assert report.trace.counters.get(f"kernel_{name}", 0) == moved
+
+    def test_pool_chunks_equal_the_serial_report(self):
+        serial = self._planner()
+        pooled = self._planner()
+        for k in range(10):
+            self._register(serial, k)
+            self._register(pooled, k)
+        with PoolExecutor(max_workers=2, chunksize=3) as pool:
+            by_pool = pooled.report(executor=pool)
+        by_serial = serial.report()
+        assert [_entry_fingerprint(e) for e in by_pool.entries] == [
+            _entry_fingerprint(e) for e in by_serial.entries
+        ]

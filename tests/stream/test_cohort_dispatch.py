@@ -20,6 +20,8 @@ from repro.selection.auto import SelectionOutcome
 from repro.service import EstatePlanner
 from repro.stream import ClosedWindow, ForecastScheduler
 
+from tests.conftest import per_series
+
 HOUR = 3600.0
 PERIOD = 24
 
@@ -119,7 +121,9 @@ class TestDispatchParity:
         for mode in ("cohort", "scalar"):
             calls = []
             with monkeypatch.context() as patch:
-                patch.setattr("repro.service.estate.auto_select", _hw_select(calls))
+                patch.setattr(
+                    "repro.service.estate.auto_select_many", per_series(_hw_select(calls))
+                )
                 if mode == "scalar":
                     break_cohort_grading(patch)
                 sched, __ = make_scheduler()
@@ -148,7 +152,9 @@ class TestDispatchParity:
     def test_broken_cohort_roll_falls_back_per_row(self, monkeypatch):
         # When the batched roll blows up, every member must still advance
         # through its own ``advance`` — identical output, nobody dropped.
-        monkeypatch.setattr("repro.service.estate.auto_select", _hw_select([]))
+        monkeypatch.setattr(
+            "repro.service.estate.auto_select_many", per_series(_hw_select([]))
+        )
         reference_sched, __ = make_scheduler()
         reference = feed_ticks(reference_sched)
 
@@ -161,7 +167,9 @@ class TestDispatchParity:
         assert sched.trace.counters.get("stream_rolls_applied", 0) == reference_sched.trace.counters.get("stream_rolls_applied", 0)
 
     def test_broken_cohort_grading_falls_back_per_job(self, monkeypatch):
-        monkeypatch.setattr("repro.service.estate.auto_select", _hw_select([]))
+        monkeypatch.setattr(
+            "repro.service.estate.auto_select_many", per_series(_hw_select([]))
+        )
         reference_sched, __ = make_scheduler()
         reference = feed_ticks(reference_sched)
         break_cohort_grading(monkeypatch)
@@ -173,7 +181,9 @@ class TestDispatchParity:
 class TestAdvisoryMemo:
     def test_quiet_tick_reserves_memo(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("repro.service.estate.auto_select", _hw_select(calls))
+        monkeypatch.setattr(
+            "repro.service.estate.auto_select_many", per_series(_hw_select(calls))
+        )
         sched, __ = make_scheduler()
         ticks = feed_ticks(sched)
         before = sched.trace.counters.get("stream_advisory_cache_hits", 0)
@@ -184,7 +194,9 @@ class TestAdvisoryMemo:
 
     def test_new_window_invalidates_memo(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("repro.service.estate.auto_select", _hw_select(calls))
+        monkeypatch.setattr(
+            "repro.service.estate.auto_select_many", per_series(_hw_select(calls))
+        )
         sched, __ = make_scheduler()
         feed_ticks(sched, n_ticks=2)
         sched.on_windows([])  # prime and confirm memo
@@ -202,7 +214,9 @@ class TestAdvisoryMemo:
 class TestAdoptModel:
     def test_adopted_outcome_grades_without_selection(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("repro.service.estate.auto_select", _hw_select(calls))
+        monkeypatch.setattr(
+            "repro.service.estate.auto_select_many", per_series(_hw_select(calls))
+        )
         sched, planner = make_scheduler()
         y = _values(9, 72)
         series = TimeSeries(y, frequency=Frequency.HOURLY, start=0.0, name="dbX.cpu")

@@ -17,6 +17,8 @@ from repro.selection.auto import SelectionOutcome
 from repro.service import EstatePlanner
 from repro.stream import ClosedWindow, ForecastScheduler
 
+from tests.conftest import per_series
+
 HOUR = 3600.0
 PERIOD = 24
 KEYS = ("db1", "db2", "db3")
@@ -114,7 +116,7 @@ class TestDayProfileDispatchParity:
             calls = []
             with monkeypatch.context() as patch:
                 patch.setattr(
-                    "repro.service.estate.auto_select", _dayprofile_select(calls)
+                    "repro.service.estate.auto_select_many", per_series(_dayprofile_select(calls))
                 )
                 if mode == "scalar":
                     patch.setattr(
@@ -139,7 +141,7 @@ class TestDayProfileDispatchParity:
 
     def test_broken_cohort_roll_falls_back_per_row(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.service.estate.auto_select", _dayprofile_select([])
+            "repro.service.estate.auto_select_many", per_series(_dayprofile_select([]))
         )
         reference_sched, __ = make_scheduler()
         reference = feed_ticks(reference_sched)
@@ -191,7 +193,7 @@ class TestDegradedDayProfileRung:
 
     def test_recovery_upgrades_off_the_ladder(self, monkeypatch):
         monkeypatch.setattr(
-            "repro.service.estate.auto_select", _dayprofile_select([])
+            "repro.service.estate.auto_select_many", per_series(_dayprofile_select([]))
         )
         sched, __ = make_scheduler(dayprofile=True)
         # Selection is down for the seeding tick: day-profile rung serves.

@@ -101,7 +101,7 @@ class TestEndToEnd:
         assert rt.trace.counters["stream_refits_triggered"] >= 1
         reasons = {event.reason for event in rt.scheduler.refit_log}
         assert "initial" in reasons
-        assert "rmse degraded beyond threshold" in reasons
+        assert "cusum drift trip" in reasons
 
         # Once the flat level crosses 100, consecutive breaching ticks
         # raise a debounced alert.

@@ -107,8 +107,8 @@ class TestStalenessRefit:
         # The flat model predicts ~50; feed a shock far beyond 2x baseline.
         tick = sched.on_windows(windows([500.0] * 3, start_hour=24))
         assert len(calls) == 2  # re-selected on the refreshed series
-        assert [e.reason for e in tick.refits] == [StalenessReason.DEGRADED.value]
-        assert sched.refit_log[-1].reason == StalenessReason.DEGRADED.value
+        assert [e.reason for e in tick.refits] == [StalenessReason.DRIFT.value]
+        assert sched.refit_log[-1].reason == StalenessReason.DRIFT.value
         assert sched.trace.counters["stream_refits_triggered"] == 1
         # The stale verdict evicted the cache record once and left the
         # entry pending; the report then missed the cache and re-selected.
@@ -129,8 +129,8 @@ class TestStalenessRefit:
 
         monkeypatch.setattr(first.model, "advance", broken)
         tick = sched.on_windows(windows([50.0], start_hour=24))
-        assert tick.verdicts[key].reason is StalenessReason.DEGRADED
-        assert [e.reason for e in tick.refits] == [StalenessReason.DEGRADED.value]
+        assert tick.verdicts[key].reason is StalenessReason.ROLL_FAILED
+        assert [e.reason for e in tick.refits] == [StalenessReason.ROLL_FAILED.value]
         assert len(calls) == 2
         # Re-selected, not restarted from the old fit: the next roll starts
         # a chain from the new outcome.
