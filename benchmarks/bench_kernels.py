@@ -16,20 +16,24 @@ for every available backend. The acceptance contract:
 
 Also records one end-to-end ``auto_select`` wall time on the active
 backend, with the trace's kernel counters, so the JSON shows what the
-kernels cost inside the real pipeline rather than in isolation.
+kernels cost inside the real pipeline rather than in isolation, and one
+multiplicative-HES cohort band (``mul_band``) against the per-key draws
+and gather/scatter simulation it replaced, which it must beat by 1.8x.
 
 Results land in ``benchmarks/output/BENCH_kernels.json``. Set
 ``REPRO_REDUCED_GRID=1`` (the CI smoke mode) for a seconds-scale run.
 """
 
+import gc
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core import Frequency, TimeSeries
-from repro.models import kernels
+from repro.models import HoltWinters, ets, kernels
 from repro.reporting import Table
 from repro.selection import AutoConfig, auto_select
 
@@ -411,6 +415,118 @@ def test_batched_dispatch_amortisation():
     assert rows["1"]["batched_ns_per_obs"] <= rows["1"]["per_key_ns_per_obs"] * 2.0
     # The headline acceptance bar for the cohort scheduler.
     assert rows["256"]["speedup"] >= 10.0, rows["256"]
+
+
+def _legacy_ets_mul_paths_batch(level0, trend0, seasonal0, alpha, beta, gamma, phi, use_trend, period, start_index, shocks):
+    B, n_paths, horizon = shocks.shape
+    level = np.repeat(level0[:, None], n_paths, axis=1)
+    trend = np.repeat(trend0[:, None], n_paths, axis=1)
+    seas = np.repeat(seasonal0[:, None, :], n_paths, axis=1)
+    sims = np.empty((B, n_paths, horizon))
+    al, be, ga, ph = alpha[:, None], beta[:, None], gamma[:, None], phi[:, None]
+    for h in range(horizon):
+        damped = ph * trend if use_trend else 0.0
+        gather = ((start_index + h) % period)[:, None, None]
+        s = np.take_along_axis(seas, gather, axis=2)[:, :, 0]
+        value = (level + damped) * s + shocks[:, :, h]
+        prev = level
+        denom = np.where(np.abs(s) > 1e-12, s, 1e-12)
+        level = al * (value / denom) + (1.0 - al) * (prev + damped)
+        base = prev + damped
+        base = np.where(np.abs(base) > 1e-12, base, 1e-12)
+        np.put_along_axis(seas, gather, (ga * (value / base) + (1.0 - ga) * s)[:, :, None], axis=2)
+        if use_trend:
+            trend = be * (level - prev) + (1.0 - be) * damped
+        sims[:, :, h] = value
+    return sims
+
+
+def _legacy_cohort_forecast_std(models, spec, horizon, damp):
+    """The multiplicative band as each key drew it: its own generator and
+    a gather/scatter simulation over per-path seasonal copies."""
+    sigma = np.sqrt(np.array([model.sigma2 for model in models]))
+    shocks = np.stack(
+        [np.random.default_rng(1234).normal(0.0, s, size=(500, horizon)) for s in sigma]
+    )
+    sims = _legacy_ets_mul_paths_batch(
+        np.array([model.level for model in models]),
+        np.array([model.trend for model in models]),
+        np.stack([model.seasonal_state for model in models]),
+        np.array([model.alpha for model in models]),
+        np.array([model.beta for model in models]),
+        np.array([model.gamma for model in models]),
+        np.array([model.phi for model in models]),
+        spec.trend,
+        spec.period,
+        np.array([len(model.train) for model in models]),
+        shocks,
+    )
+    return np.stack([sims[j].std(axis=0) for j in range(len(models))])
+
+
+def test_mul_band_cohort():
+    """One tick's multiplicative-HES band grading, on the numpy backend.
+
+    churn grades one multiplicative cohort of 15-21 keys every tick at a
+    25-step horizon (24 steps plus one elapsed window, one past the daily
+    period). Legs alternate with GC off; both give the same bytes.
+    """
+    horizon = 25
+    rng = np.random.default_rng(11)
+    jobs = []
+    for k in range(20):
+        n = 336 + k  # staggered lengths: per-key seasonal phases
+        t = np.arange(n)
+        y = (80.0 + 0.02 * t) * (1.0 + 0.15 * np.sin(2 * np.pi * t / 24)) + rng.normal(0, 1.5, n)
+        jobs.append((HoltWinters(period=24, seasonal="mul"), TimeSeries(y, Frequency.HOURLY)))
+    fits = ets.fit_many(jobs)
+
+    def legacy():
+        with mock.patch.object(ets, "_cohort_forecast_std", _legacy_cohort_forecast_std):
+            return ets.forecast_cohort_arrays(fits, horizon)
+
+    def current():
+        return ets.forecast_cohort_arrays(fits, horizon)
+
+    restore = kernels.active_backend()
+    gc_was = gc.isenabled()
+    gc.disable()
+    times = {"legacy": np.inf, "current": np.inf}
+    try:
+        kernels.set_backend("numpy")
+        kernels.ensure_warm()
+        for a, b in zip(legacy(), current()):
+            assert a.tobytes() == b.tobytes()
+        for __ in range(3):
+            for name, leg in (("legacy", legacy), ("current", current)):
+                times[name] = min(times[name], _best_of(leg))
+    finally:
+        if gc_was:
+            gc.enable()
+        kernels.set_backend(restore)
+        kernels.ensure_warm()
+
+    speedup = times["legacy"] / times["current"]
+    table = Table(
+        ["Leg", "ms per call", "speedup"],
+        title=f"Multiplicative band cohort (20 keys, H={horizon}, numpy)",
+    )
+    table.add_row(["per-key draws, gather/scatter", f"{times['legacy'] * 1e3:.2f}", "1.00x"])
+    table.add_row(["shared draw, gather-free", f"{times['current'] * 1e3:.2f}", f"{speedup:.2f}x"])
+    print()
+    table.print()
+    write_bench_json(
+        BENCH_JSON,
+        "mul_band",
+        {
+            "keys": len(fits),
+            "horizon": horizon,
+            "legacy_ms_per_call": times["legacy"] * 1e3,
+            "ms_per_call": times["current"] * 1e3,
+            "speedup_vs_legacy": speedup,
+        },
+    )
+    assert speedup >= 1.8, times
 
 
 def test_auto_select_end_to_end_wall_time():

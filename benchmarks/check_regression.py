@@ -49,6 +49,8 @@ HEADLINES: tuple[tuple[str, str, str], ...] = (
     ("BENCH_stream.json", "shard_scaling.windows_speedup_4", "higher"),
     ("BENCH_kernels.json", "auto_select_end_to_end.wall_seconds", "lower"),
     ("BENCH_kernels.json", "batched_dispatch.speedup_256", "higher"),
+    ("BENCH_kernels.json", "mul_band.ms_per_call", "lower"),
+    ("BENCH_kernels.json", "mul_band.speedup_vs_legacy", "higher"),
     ("BENCH_planner.json", "planner_scaling.plans_per_second_100", "higher"),
     ("BENCH_planner.json", "planner_scaling.plans_per_second_1000", "higher"),
 )

@@ -14,8 +14,9 @@ by minimising the in-sample one-step sum of squared errors with L-BFGS-B.
 lockstep and each round's objectives run as one batched recursion, with
 every fit bit-identical to fitting it alone. Prediction intervals use the
 standard analytic variance expressions for the additive cases (Hyndman et
-al., *Forecasting: Principles & Practice*) and a residual-bootstrap
-simulation for multiplicative seasonality, where no closed form exists.
+al., *Forecasting: Principles & Practice*) and a Gaussian simulation
+through the recursion for multiplicative seasonality, where no closed
+form exists.
 """
 
 from __future__ import annotations
@@ -186,8 +187,11 @@ class FittedExpSmoothing(FittedModel):
         """Forecast standard deviations.
 
         Additive models use the closed-form cumulative-variance expressions;
-        multiplicative seasonality falls back to a fixed-seed Gaussian
-        simulation through the recursion (500 paths).
+        multiplicative seasonality falls back to a Gaussian simulation
+        through the recursion: 500 paths of the seed-1234 standard-normal
+        draw (:func:`_unit_shocks`, shared by every fit) scaled by this
+        fit's sigma, bit for bit what a fresh ``default_rng(1234)``'s
+        ``normal(0.0, sigma, (500, horizon))`` would draw.
         """
         sigma = np.sqrt(self.sigma2)
         m = self.spec.period
@@ -208,13 +212,6 @@ class FittedExpSmoothing(FittedModel):
             # one step, hence the leading zero.
             acc = np.concatenate(([0.0], np.cumsum(c[:-1] ** 2)))
             return np.sqrt(self.sigma2 * (1.0 + acc))
-        # Multiplicative: simulate through the recursion kernel, all paths
-        # at once. The shocks are pre-drawn as one (paths, horizon) matrix,
-        # which walks the generator in exactly the order the former nested
-        # loop did — simulated paths are bit-identical.
-        rng = np.random.default_rng(1234)
-        n_paths = 500
-        shocks = rng.normal(0.0, sigma, size=(n_paths, horizon))
         sims = kernels.ets_mul_paths(
             self.level,
             self.trend,
@@ -226,7 +223,7 @@ class FittedExpSmoothing(FittedModel):
             self.spec.trend,
             m,
             len(self.train),
-            shocks,
+            _mul_shocks(np.atleast_1d(sigma), horizon)[0],
         )
         return sims.std(axis=0)
 
@@ -533,8 +530,15 @@ def _batched_values(
     """Each problem's objective values, all rows in one batched recursion."""
     counts = [len(r) for r in rows]
     params = np.concatenate(rows)
+    # The round's one copy of its series, time-major as the kernel's loop
+    # reads them: the (rows, n) view passed on transposes back for free.
+    values = np.empty((problems[0].y.size, len(params)))
+    start = 0
+    for p, k in zip(problems, counts):
+        values[:, start : start + k] = p.y[:, None]
+        start += k
     errors = kernels.ets_recursion_batch(
-        np.concatenate([np.broadcast_to(p.y, (k, p.y.size)) for p, k in zip(problems, counts)]),
+        values.T,
         spec.trend,
         _SEASONAL_MODE[spec.seasonal],
         spec.period,
@@ -736,9 +740,54 @@ def _cohort_point_forecast(
     return np.asarray(out, dtype=float)
 
 
+#: Paths of the multiplicative-seasonal band simulation, and the seed of
+#: the standard-normal draw every fit's shocks are scaled from.
+_MUL_PATHS = 500
+_MUL_SEED = 1234
+
 #: Multiplicative-std simulation memory bound: rows per ets_mul_paths_batch
-#: call (each row carries a (500, horizon) shock matrix).
+#: call. Each row carries a (500, horizon) shock matrix, its simulated
+#: paths and the std's deviations: 3 x 4 kB per horizon step, so a full
+#: chunk at the scheduler's 25-step grading horizon holds about 9.6 MB.
 _MUL_STD_CHUNK = 32
+
+#: The seed-1234 standard-normal stream behind every multiplicative band,
+#: read-only. It holds the longest horizon asked for so far (see
+#: :func:`_unit_shocks`).
+_unit_stream = np.empty(0)
+
+
+def _unit_shocks(horizon: int) -> np.ndarray:
+    """``default_rng(1234).standard_normal((500, horizon))``, read-only.
+
+    That draw is the first ``500 * horizon`` values of the generator's
+    stream in row order, so each horizon's draw is a reshaped view of one
+    cached stream, redrawn longer when a longer horizon is asked for. The
+    cache holds 4 kB per step of the longest horizon drawn: 768 kB at the
+    scheduler's longest hourly grading horizon (24 + 168 steps).
+    """
+    global _unit_stream
+    n = _MUL_PATHS * horizon
+    stream = _unit_stream
+    if stream.size < n:
+        stream = np.random.default_rng(_MUL_SEED).standard_normal(n)
+        stream.flags.writeable = False
+        _unit_stream = stream
+    return stream[:n].reshape(_MUL_PATHS, horizon)
+
+
+def _mul_shocks(sigma: np.ndarray, horizon: int) -> np.ndarray:
+    """``(B, 500, horizon)`` Gaussian shocks, row ``i`` of scale ``sigma[i]``.
+
+    Bit for bit ``default_rng(1234).normal(0.0, sigma[i], (500, horizon))``:
+    numpy's normal computes ``loc + scale * z`` over the standard-normal
+    draw, and rejects a scale with its sign bit set (``-0.0`` included,
+    NaN not) with the same error.
+    """
+    if np.any(np.signbit(sigma) & ~np.isnan(sigma)):
+        raise ValueError("scale < 0")
+    shocks = np.multiply(sigma[:, None, None], _unit_shocks(horizon))
+    return np.add(0.0, shocks, out=shocks)
 
 
 def _cohort_forecast_std(
@@ -768,13 +817,6 @@ def _cohort_forecast_std(
     std = np.empty((B, horizon))
     for lo in range(0, B, _MUL_STD_CHUNK):
         chunk = models[lo : lo + _MUL_STD_CHUNK]
-        # One fresh generator per key, exactly as the per-key path draws.
-        shocks = np.stack(
-            [
-                np.random.default_rng(1234).normal(0.0, sigma[lo + j], size=(500, horizon))
-                for j in range(len(chunk))
-            ]
-        )
         sims = kernels.ets_mul_paths_batch(
             np.array([model.level for model in chunk]),
             np.array([model.trend for model in chunk]),
@@ -786,10 +828,11 @@ def _cohort_forecast_std(
             spec.trend,
             m,
             np.array([len(model.train) for model in chunk]),
-            shocks,
+            _mul_shocks(sigma[lo : lo + _MUL_STD_CHUNK], horizon),
         )
-        for j in range(len(chunk)):
-            std[lo + j] = sims[j].std(axis=0)
+        # Each row keeps the per-key (paths, horizon) layout, so numpy sums
+        # every (row, step)'s paths in the order the per-key std does.
+        std[lo : lo + len(chunk)] = sims.std(axis=1)
     return std
 
 

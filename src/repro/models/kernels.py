@@ -164,30 +164,16 @@ def _ets_recursion_numpy(
 def _ets_mul_paths_numpy(
     level0, trend0, seasonal0, alpha, beta, gamma, phi, use_trend, period, start_index, shocks
 ):
-    """Multiplicative-seasonal simulation, broadcast across all paths."""
-    n_paths, horizon = shocks.shape
-    level = np.full(n_paths, level0)
-    trend = np.full(n_paths, trend0)
-    seas = np.tile(seasonal0, (n_paths, 1))
-    sims = np.empty((n_paths, horizon))
-    one_a = 1.0 - alpha
-    one_g = 1.0 - gamma
-    one_b = 1.0 - beta
-    for h in range(horizon):
-        dt = phi * trend if use_trend else 0.0
-        s_idx = (start_index + h) % period
-        s = seas[:, s_idx].copy()
-        value = (level + dt) * s + shocks[:, h]
-        prev = level
-        denom = np.where(np.abs(s) > 1e-12, s, 1e-12)
-        level = alpha * (value / denom) + one_a * (prev + dt)
-        base = prev + dt
-        base = np.where(np.abs(base) > 1e-12, base, 1e-12)
-        seas[:, s_idx] = gamma * (value / base) + one_g * s
-        if use_trend:
-            trend = beta * (level - prev) + one_b * dt
-        sims[:, h] = value
-    return sims
+    """Multiplicative-seasonal simulation, broadcast across all paths.
+
+    The one-row case of :func:`_ets_mul_paths_batch_numpy`: elementwise
+    operations give every row the same bits at any batch size.
+    """
+    return _ets_mul_paths_batch_numpy(
+        np.array([level0]), np.array([trend0]), seasonal0[None, :],
+        np.array([alpha]), np.array([beta]), np.array([gamma]), np.array([phi]),
+        use_trend, period, np.array([start_index]), shocks[None, :, :],
+    )[0]
 
 
 def _tbats_filter_numpy(
@@ -373,22 +359,41 @@ def _kalman_filter_numpy(y, T, RRt, P0):
 
 
 def _arma_forecast_numpy(full_ar, ma_full, history, recent_e, c_star, horizon):
-    """Iterated ARMA point forecast on the undifferenced scale."""
+    """Iterated ARMA point forecast on the undifferenced scale.
+
+    MA lags with a zero coefficient are skipped: adding their ``±0.0``
+    products changes a running sum only when that sum is itself zero, and
+    later terms then give the same result unless the step's value stays
+    zero. So a forecast with a zero or non-finite value, or from
+    non-finite innovations (whose zero product is NaN), runs again over
+    every lag.
+    """
+    mal = ma_full.tolist()
+    lags = range(1, len(mal))
+    if np.isfinite(recent_e).all():
+        mean = _arma_iterate(
+            full_ar, mal, [j for j in lags if mal[j] != 0.0], history, recent_e, c_star, horizon
+        )
+        if np.isfinite(mean).all() and mean.all():
+            return mean
+    return _arma_iterate(full_ar, mal, lags, history, recent_e, c_star, horizon)
+
+
+def _arma_iterate(full_ar, mal, lags, history, recent_e, c_star, horizon):
+    """The difference equation over the MA lags ``lags`` (ascending)."""
     L = full_ar.size - 1
-    q_full = ma_full.size - 1
     n_e = recent_e.size
     buf = np.empty(L + horizon)
     if L:
         buf[:L] = history
     rev_ar = full_ar[:0:-1].copy()  # [ar_L, ..., ar_1]
-    mal = ma_full.tolist()
     rel = recent_e.tolist()
     mean = np.empty(horizon)
     for h in range(horizon):
         acc = c_star
         if L:
             acc -= float(rev_ar @ buf[h : h + L])
-        for j in range(h + 1, q_full + 1):
+        for j in lags:
             idx = n_e + h - j
             if 0 <= idx < n_e:
                 acc += mal[j] * rel[idx]
@@ -424,6 +429,11 @@ def _bootstrap_deviations_numpy(psi, shocks):
 #   recomputed through the per-key implementation and its outputs are
 #   taken verbatim, so overflow handling (saturate vs. raise) can never
 #   diverge between the two code paths.
+#
+# The multiplicative-path simulation is built the other way round: its
+# per-key kernel is the batch kernel's one-row case. Every operation is
+# elementwise, so a row's bits do not depend on the batch around it and
+# neither guarantee needs code there.
 #
 # Reductions with backend-dependent summation order (the BLAS dot product
 # in the ARMA kernel) are *not* vectorised across the batch: that kernel
@@ -561,18 +571,19 @@ def _ets_recursion_batch_numpy(
 def _ets_mul_paths_batch_numpy(
     level0, trend0, seasonal0, alpha, beta, gamma, phi, use_trend, period, start_index, shocks
 ):
-    """Batched multiplicative-seasonal simulation: ``shocks`` is ``(B, P, H)``."""
+    """Batched multiplicative-seasonal simulation: ``shocks`` is ``(B, P, H)``.
+
+    No per-path copy of the seasonal state is kept. Step ``h`` reads
+    entry ``(start + h) % m``. While ``h < m`` that entry is still the
+    origin's, the same for every path, so it is one ``(B, 1)`` column.
+    The value step ``h`` writes back is read again only at step
+    ``h + m``, so written ``(B, P)`` rows are kept in a ring only when
+    the horizon passes ``m``, and state no later step reads is not
+    updated. Each step runs the per-path recursion's operations, in its
+    order, into preallocated buffers.
+    """
     B, n_paths, horizon = shocks.shape
-    if B == 1:
-        sims = _ets_mul_paths_numpy(
-            float(level0[0]), float(trend0[0]), seasonal0[0],
-            float(alpha[0]), float(beta[0]), float(gamma[0]), float(phi[0]),
-            use_trend, period, int(start_index[0]), shocks[0],
-        )
-        return sims[None, :, :]
-    level = np.repeat(level0.astype(float)[:, None], n_paths, axis=1)
-    trend = np.repeat(trend0.astype(float)[:, None], n_paths, axis=1)
-    seas = np.repeat(seasonal0.astype(float)[:, None, :], n_paths, axis=1)
+    m = period
     sims = np.empty((B, n_paths, horizon))
     al = alpha[:, None]
     be = beta[:, None]
@@ -581,29 +592,56 @@ def _ets_mul_paths_batch_numpy(
     one_a = 1.0 - al
     one_g = 1.0 - ga
     one_b = 1.0 - be
+    phase = (start_index[:, None] + np.arange(min(horizon, m))) % m
+    origin = np.take_along_axis(seasonal0, phase, axis=1)
+    origin_guard = np.where(np.abs(origin) > 1e-12, origin, 1e-12)
+    ring = np.empty((min(m, horizon - m), B, n_paths)) if horizon > m else None
+    level = np.repeat(level0[:, None], n_paths, axis=1)
+    prev = np.empty((B, n_paths))
+    if use_trend:
+        trend = np.repeat(trend0[:, None], n_paths, axis=1)
+        dt = np.empty((B, n_paths))
+    else:
+        dt = 0.0
+    ld = np.empty((B, n_paths))  # level + dt, the per-path loop's prev + dt
+    tmp = np.empty((B, n_paths))
+    tmp2 = np.empty((B, n_paths))
+    guard = np.empty((B, n_paths))
+    big = np.empty((B, n_paths), dtype=bool)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for h in range(horizon):
-            dt = ph * trend if use_trend else 0.0
-            s_idx = (start_index + h) % period
-            gather = s_idx[:, None, None]
-            s = np.take_along_axis(seas, gather, axis=2)[:, :, 0]
-            value = (level + dt) * s + shocks[:, :, h]
-            prev = level
-            denom = np.where(np.abs(s) > 1e-12, s, 1e-12)
-            level = al * (value / denom) + one_a * (prev + dt)
-            base = prev + dt
-            base = np.where(np.abs(base) > 1e-12, base, 1e-12)
-            np.put_along_axis(seas, gather, (ga * (value / base) + one_g * s)[:, :, None], axis=2)
             if use_trend:
-                trend = be * (level - prev) + one_b * dt
-            sims[:, :, h] = value
-    bad = _nonfinite_rows(sims)
-    for b in np.flatnonzero(bad):
-        sims[b] = _ets_mul_paths_numpy(
-            float(level0[b]), float(trend0[b]), seasonal0[b],
-            float(alpha[b]), float(beta[b]), float(gamma[b]), float(phi[b]),
-            use_trend, period, int(start_index[b]), shocks[b],
-        )
+                mul(ph, trend, out=dt)
+            add(level, dt, out=ld)
+            if h < m:
+                s = origin[:, h : h + 1]
+                denom = origin_guard[:, h : h + 1]
+            else:
+                s = ring[h % m]
+                _guarded(s, guard, big)
+                denom = guard
+            value = sims[:, :, h]
+            mul(ld, s, out=value)
+            add(value, shocks[:, :, h], out=value)
+            if h == horizon - 1:
+                break  # no later step reads the state
+            div(value, denom, out=tmp)
+            mul(al, tmp, out=tmp)
+            prev, level = level, prev
+            mul(one_a, ld, out=tmp2)
+            add(tmp, tmp2, out=level)
+            if h + m < horizon:
+                _guarded(ld, guard, big)
+                div(value, guard, out=tmp)
+                mul(ga, tmp, out=tmp)
+                mul(one_g, s, out=tmp2)
+                add(tmp, tmp2, out=ring[h % m])  # s is consumed: it may be this row
+            if use_trend:
+                sub(level, prev, out=tmp)
+                mul(be, tmp, out=tmp)
+                mul(one_b, dt, out=tmp2)
+                add(tmp, tmp2, out=trend)
     return sims
 
 
@@ -883,6 +921,7 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installe
     def _ets_recursion_batch_nb(
         y, use_trend, seasonal_mode, period, alpha, beta, gamma, phi, level0, trend0, seasonal0
     ):
+        y = np.ascontiguousarray(y)  # compiled per-key passes read rows
         B, n = y.shape
         errors = np.empty((B, n))
         level = np.empty(B)
@@ -1265,8 +1304,10 @@ def ets_recursion_batch(y, use_trend, seasonal_mode, period, alpha, beta, gamma,
     """Batched :func:`ets_recursion`: ``y`` is ``(B, n)``, params ``(B,)``.
 
     Returns ``(errors (B, n), level (B,), trend (B,), seasonal (B, m))``.
+    ``y`` may be the transpose of a time-major ``(n, B)`` block: the numpy
+    kernel reads it time-major, so that layout saves it a copy.
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     return _timed_batch(
         "ets_recursion_batch",
         y.shape[0],

@@ -117,8 +117,8 @@ def check_ets_recursion(seed, B, seasonal_mode, use_trend):
         exact(seas[i], s_i)
 
 
-def check_ets_mul_paths(seed, B):
-    args = _paths_inputs(seed, B)
+def check_ets_mul_paths(seed, B, H=12):
+    args = _paths_inputs(seed, B, H=H)
     level0, trend0, seasonal0, alpha, beta, gamma, phi, ut, period, start, shocks = args
     sims = kernels.ets_mul_paths_batch(*args)
     for i in range(B):
@@ -159,9 +159,10 @@ def test_ets_recursion_batch_parity(seed, B, seasonal_mode, use_trend):
 
 
 @settings(max_examples=8, deadline=None)
-@given(seed=SEEDS, B=BATCHES)
-def test_ets_mul_paths_batch_parity(seed, B):
-    check_ets_mul_paths(seed, B)
+@given(seed=SEEDS, B=BATCHES, H=st.sampled_from([1, 5, 6, 7, 12, 15]))
+def test_ets_mul_paths_batch_parity(seed, B, H):
+    # m = 6: horizons inside one cycle, on it, one past it and past two.
+    check_ets_mul_paths(seed, B, H)
 
 
 @settings(max_examples=8, deadline=None)

@@ -390,6 +390,72 @@ def test_arma_forecast_matches_reference(seed, L, q_full, n_e, horizon, c_star):
     )
 
 
+def every_lag_arma_forecast(full_ar, ma_full, history, recent_e, c_star, horizon):
+    """The numpy ARMA kernel as it was before it skipped zero MA lags."""
+    L = full_ar.size - 1
+    q_full = ma_full.size - 1
+    n_e = recent_e.size
+    buf = np.empty(L + horizon)
+    if L:
+        buf[:L] = history
+    rev_ar = full_ar[:0:-1].copy()  # [ar_L, ..., ar_1]
+    mal = ma_full.tolist()
+    rel = recent_e.tolist()
+    mean = np.empty(horizon)
+    for h in range(horizon):
+        acc = c_star
+        if L:
+            acc -= float(rev_ar @ buf[h : h + L])
+        for j in range(h + 1, q_full + 1):
+            idx = n_e + h - j
+            if 0 <= idx < n_e:
+                acc += mal[j] * rel[idx]
+        buf[L + h] = acc
+        mean[h] = acc
+    return mean
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    L=st.integers(0, 26),
+    q_full=st.integers(0, 26),
+    n_e=st.integers(0, 26),
+    horizon=st.integers(1, 30),
+    c_star=st.one_of(SIGNED_ZEROS, st.floats(-5, 5)),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    zero_ar=st.booleans(),
+    zero_history=st.booleans(),
+    bad_innovation=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    zero_innovations=st.booleans(),
+)
+def test_arma_forecast_skipping_zero_lags_is_exact(
+    seed, L, q_full, n_e, horizon, c_star, zero_share, zero_ar, zero_history,
+    bad_innovation, zero_innovations,
+):
+    # Zero and -0.0 MA coefficients at random lags, with the signed zeros
+    # and non-finite innovations that make a skipped +-0.0 product matter.
+    rng = np.random.default_rng(seed)
+    full_ar = np.concatenate(([1.0], rng.uniform(-0.4, 0.4, L)))
+    if zero_ar:
+        full_ar[1:] = 0.0
+    ma_full = np.concatenate(([1.0], rng.uniform(-0.6, 0.6, q_full)))
+    zeros = rng.random(q_full) < zero_share
+    ma_full[1:][zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    history = rng.choice([0.0, -0.0], L) if zero_history else rng.normal(50, 5, L)
+    recent_e = rng.choice([0.0, -0.0], n_e) if zero_innovations else rng.normal(0, 1, n_e)
+    if bad_innovation is not None and n_e:
+        recent_e[rng.integers(n_e)] = bad_innovation
+    args = (full_ar, ma_full, history, recent_e, c_star, horizon)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = kernels._arma_forecast_numpy(*args)
+        want = every_lag_arma_forecast(*args)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

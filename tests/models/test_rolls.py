@@ -294,12 +294,12 @@ class TestRollSemantics:
 
 
 class TestEtsCohort:
-    def _members(self, n_keys=4):
+    def _members(self, n_keys=4, seasonal="add"):
         fits = []
         futures = []
         for k in range(n_keys):
             y = _seasonal(10 + k, 400)
-            fits.append(HoltWinters(period=24).fit(TimeSeries(y[:360])))
+            fits.append(HoltWinters(period=24, seasonal=seasonal).fit(TimeSeries(y[:360])))
             futures.append(y[360:])
         return fits, futures
 
@@ -318,13 +318,15 @@ class TestEtsCohort:
             assert repr(rolled[i].forecast(24)) == repr(solo.forecast(24))
 
     def test_cohort_forecast_matches_per_key(self):
-        fits, __ = self._members()
-        mean, lower, upper = forecast_cohort_arrays(fits, 24)
-        for i, fit in enumerate(fits):
-            fc = fit.forecast(24)
-            assert np.array_equal(mean[i], fc.mean.values)
-            assert np.array_equal(lower[i], fc.lower.values)
-            assert np.array_equal(upper[i], fc.upper.values)
+        # A multiplicative band is simulated; 25 steps pass one cycle.
+        for seasonal, horizon in (("add", 24), ("mul", 24), ("mul", 25)):
+            fits, __ = self._members(seasonal=seasonal)
+            mean, lower, upper = forecast_cohort_arrays(fits, horizon)
+            for i, fit in enumerate(fits):
+                fc = fit.forecast(horizon)
+                assert np.array_equal(mean[i], fc.mean.values)
+                assert np.array_equal(lower[i], fc.lower.values)
+                assert np.array_equal(upper[i], fc.upper.values)
 
     def test_cohort_of_one_matches_per_key(self):
         fits, futures = self._members(1)
