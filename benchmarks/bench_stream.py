@@ -17,6 +17,8 @@ one. This bench pins numbers on each stage:
   (dirty-key tracking makes quiet keys free);
 * window finalisation rate — hourly windows closed per second as the
   watermark advances over a multi-key stream;
+* one-pass window close — ``advance()`` on serve's delivery shape
+  against the former key-by-key close, outputs asserted equal;
 * end-to-end scheduler latency — a replayed multi-day two-instance
   cluster through :class:`~repro.stream.StreamRuntime` with real (HES)
   selections, reporting per-tick latency and confirming the selection
@@ -339,6 +341,190 @@ def test_window_finalisation_rate(mangled_stream):
     )
     assert closed == agg.counters["windows_closed"]
     assert rate > 100
+
+
+def _legacy_consume_span(bus, kid, upto_slot, from_slot=None):
+    """The per-key pop ``IngestBus.consume_span`` ran before the one-pass close."""
+    slots_dict = bus._slots[kid]
+    if not slots_dict:
+        if upto_slot > bus._frontier[kid]:
+            bus._frontier[kid] = upto_slot
+            bus._any_frontier = True
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    held = len(slots_dict)
+    slots = np.fromiter(slots_dict.keys(), dtype=np.int64, count=held)
+    vals = np.fromiter(slots_dict.values(), dtype=np.float64, count=held)
+    take = slots < upto_slot
+    n_take = int(take.sum())
+    if n_take:
+        bus._buffered -= n_take
+        if n_take == held:
+            slots_dict.clear()
+        else:
+            keep = ~take
+            bus._slots[kid] = dict(zip(slots[keep].tolist(), vals[keep].tolist()))
+    if from_slot is not None:
+        stale = take & (slots < from_slot)
+        n_stale = int(stale.sum())
+        if n_stale:
+            bus._count("samples_late_dropped", n_stale)
+            take &= ~stale
+    if upto_slot > bus._frontier[kid]:
+        bus._frontier[kid] = upto_slot
+        bus._any_frontier = True
+    return slots[take], vals[take]
+
+
+def _legacy_close_up_to(agg, kid, limit_slot):
+    """The per-key window close ``WindowAggregator`` ran before the one-pass close."""
+    from repro.stream.aggregate import _KeyWindows
+
+    state = agg._keys.setdefault(kid, _KeyWindows())
+    if state.closed == 0:
+        min_slot = agg.bus.min_slot_of(kid)
+        if min_slot is None:
+            return []
+        state.anchor_slot = min_slot
+    ratio = agg.ratio
+    n_windows = (limit_slot - state.anchor_slot) // ratio - state.closed
+    if n_windows <= 0:
+        return []
+    base = state.anchor_slot + state.closed * ratio
+    upto = base + n_windows * ratio
+    slots, values = _legacy_consume_span(agg.bus, kid, upto, from_slot=base)
+    window_idx = (slots - base) // ratio
+    counts = np.bincount(window_idx, minlength=n_windows)
+    with np.errstate(invalid="ignore"):  # serve's hourly windows: ratio 4
+        means = np.bincount(window_idx, weights=values, minlength=n_windows) / counts
+    instance, metric = agg.bus.key_table.key_of(kid)
+    step = agg.bus.step
+    mean_list = means.tolist()
+    count_list = counts.tolist()
+    closed = [
+        ClosedWindow(
+            instance=instance,
+            metric=metric,
+            start=(base + i * ratio) * step,
+            value=mean_list[i],
+            n_samples=count_list[i],
+            expected=ratio,
+        )
+        for i in range(n_windows)
+    ]
+    state.closed += n_windows
+    state.values.extend(mean_list)
+    agg._count("windows_closed", n_windows)
+    agg._count("samples_aggregated", int(counts.sum()))
+    n_empty = n_windows - int(np.count_nonzero(counts))
+    if n_empty:
+        agg._count("windows_empty", n_empty)
+    n_partial = int(np.count_nonzero((counts > 0) & (counts < ratio)))
+    if n_partial:
+        agg._count("windows_partial", n_partial)
+    return closed
+
+
+def _legacy_advance(agg):
+    """``WindowAggregator.advance`` as it ran before the one-pass close: key by key."""
+    closed = []
+    for kid in agg.bus.take_dirty():
+        wm_slot = agg.bus.watermark_slot_of(kid)
+        if wm_slot is None:
+            continue
+        closed.extend(_legacy_close_up_to(agg, kid, wm_slot))
+    return closed
+
+
+def test_window_close_one_pass():
+    """Window close per tick: one array pass against the per-key close.
+
+    Serve's delivery shape: every key polls four times an hour, each
+    hour is delivered as one mangled batch (1200 s jitter, 2 %
+    duplicates) through ``push_columns``, and the advance after it
+    closes one window per key. Both legs get identical buses and
+    deliveries; only the close differs (``advance()`` against the former
+    per-key close, kept above as ``_legacy_advance``). The legs
+    alternate three times with the collector off, each reads its
+    fastest repeat, and their closed windows and counters must match.
+    """
+    import gc
+
+    from repro.stream.runtime import mangle_delivery
+
+    n_keys = 256 if REDUCED else 1000
+    n_ticks = 24
+    repeats = 3
+    rng = np.random.default_rng(19)
+    names = [f"db{k:04d}" for k in range(n_keys)]
+    levels = rng.uniform(20.0, 80.0, n_keys)
+    deliveries = []
+    for hour in range(n_ticks + 1):  # hour 0 only opens the first window
+        samples = [
+            AgentSample(name, "cpu", (hour * 4 + q) * 900.0, float(level + rng.normal(0, 3)))
+            for name, level in zip(names, levels)
+            for q in range(4)
+        ]
+        mangled = mangle_delivery(samples, rng, 1200.0, 0.02)
+        deliveries.append((
+            [s.instance for s in mangled],
+            [s.metric for s in mangled],
+            np.array([s.timestamp for s in mangled]),
+            np.array([s.value for s in mangled]),
+        ))
+
+    def leg(close) -> tuple[float, list, dict]:
+        bus = IngestBus(allowed_lateness=1800.0)
+        agg = WindowAggregator(bus)
+        out, seconds = [], 0.0
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for hour, columns in enumerate(deliveries):
+                bus.push_columns(*columns)
+                t0 = time.perf_counter()
+                closed = close(agg)
+                if hour:
+                    seconds += time.perf_counter() - t0
+                out.append(closed)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        assert sum(len(closed) for closed in out) == n_ticks * n_keys
+        return seconds / n_ticks, out, (dict(agg.counters), dict(bus.counters), bus.buffered)
+
+    one_pass, legacy = [], []
+    for __ in range(repeats):
+        s_new, out_new, counters_new = leg(WindowAggregator.advance)
+        s_old, out_old, counters_old = leg(_legacy_advance)
+        assert [repr(c) for c in out_new] == [repr(c) for c in out_old]
+        assert counters_new == counters_old
+        one_pass.append(s_new)
+        legacy.append(s_old)
+    new_ms, old_ms = 1e3 * min(one_pass), 1e3 * min(legacy)
+    speedup = old_ms / new_ms
+
+    table = Table(
+        ["Keys", "one-pass ms/tick", "per-key ms/tick", "speedup"],
+        title="Window close per tick",
+    )
+    table.add_row([str(n_keys), f"{new_ms:.3f}", f"{old_ms:.3f}", f"{speedup:.2f}x"])
+    print()
+    table.print()
+    write_bench_json(
+        BENCH_JSON,
+        "window_close",
+        {
+            "keys": n_keys,
+            "ticks": n_ticks,
+            "repeats": repeats,
+            "ms_per_tick_1000": new_ms,
+            "legacy_ms_per_tick": old_ms,
+            "speedup_vs_legacy": speedup,
+            "reduced": REDUCED,
+        },
+    )
+    assert speedup >= 2.0, (new_ms, old_ms)
 
 
 def test_scheduler_end_to_end_latency():

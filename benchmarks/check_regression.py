@@ -47,6 +47,8 @@ HEADLINES: tuple[tuple[str, str, str], ...] = (
     ("BENCH_stream.json", "shard_scaling.windows_speedup_2", "higher"),
     ("BENCH_stream.json", "shard_scaling.ingest_speedup_4", "higher"),
     ("BENCH_stream.json", "shard_scaling.windows_speedup_4", "higher"),
+    ("BENCH_stream.json", "window_close.ms_per_tick_1000", "lower"),
+    ("BENCH_stream.json", "window_close.speedup_vs_legacy", "higher"),
     ("BENCH_kernels.json", "auto_select_end_to_end.wall_seconds", "lower"),
     ("BENCH_kernels.json", "batched_dispatch.speedup_256", "higher"),
     ("BENCH_kernels.json", "mul_band.ms_per_call", "lower"),

@@ -30,7 +30,7 @@ state through closed windows without refitting (centroids and transition
 matrix stay frozen; new complete days are labelled by nearest centroid),
 and :func:`advance_cohort` / :func:`forecast_cohort_arrays` batch
 same-spec cohorts into single vectorised gathers for the scheduler's
-cohort dispatch.
+cohort dispatch; ``advance`` and ``forecast`` are their one-row cases.
 """
 
 from __future__ import annotations
@@ -161,6 +161,36 @@ def _step_label(transition: np.ndarray, label: int, seed: int) -> int:
     return int(min(ties, key=lambda c: _digest_u64("dayprofile-tie", seed, label, int(c))))
 
 
+def _next_labels(
+    transitions: np.ndarray, rows: np.ndarray, labels: np.ndarray, seed: int
+) -> np.ndarray:
+    """:func:`_step_label` for many (row, label) pairs at once.
+
+    ``transitions`` is a cohort's stacked ``(B, k, k)`` matrix; entry
+    ``j`` steps ``labels[j]`` through ``transitions[rows[j]]``. One
+    gather takes every entry's transition row: a row whose maximum is
+    unique steps to its argmax, and only a row whose maximum is tied
+    (or not finite) goes through ``_step_label``'s blake2b tie-break.
+    That tie-break depends only on the from-label and the set of tied
+    labels (the cohort shares its seed), so each distinct pair is
+    resolved once per call.
+    """
+    gathered = transitions[rows, labels]
+    best = gathered.max(axis=1)
+    nxt = gathered.argmax(axis=1)
+    at_best = gathered >= best[:, None]
+    unsettled = np.count_nonzero(at_best, axis=1) != 1
+    if unsettled.any():
+        tie_sets = (at_best << np.arange(at_best.shape[1])).sum(axis=1)
+        memo: dict[tuple[int, int], int] = {}
+        for j in np.flatnonzero(unsettled).tolist():
+            pair = (int(labels[j]), int(tie_sets[j]))
+            if pair not in memo:
+                memo[pair] = _step_label(transitions[rows[j]], pair[0], seed)
+            nxt[j] = memo[pair]
+    return nxt
+
+
 @dataclass
 class FittedDayProfile(FittedModel):
     """A fitted day-profile model: shape clusters + label transition chain.
@@ -183,33 +213,10 @@ class FittedDayProfile(FittedModel):
     def label(self) -> str:
         return f"DayProfile(k={self.spec.n_clusters}, m={self.spec.period})"
 
-    # -- label chain ----------------------------------------------------
-    def _chain(self, n_steps: int) -> list[int]:
-        """Labels 1..n_steps days past the last complete day."""
-        out: list[int] = []
-        current = int(self.labels[-1])
-        for _ in range(n_steps):
-            current = _step_label(self.transition, current, self.spec.seed)
-            out.append(current)
-        return out
-
-    def _position_arrays(self, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(slot, days-ahead, label) per forecast position."""
-        m = self.spec.period
-        offsets = self.phase + np.arange(horizon)
-        slots = offsets % m
-        steps = offsets // m + 1  # days past the last complete day
-        chain = self._chain(int(steps[-1]))
-        labels = np.asarray([chain[s - 1] for s in steps], dtype=np.int64)
-        return slots, steps, labels
-
     def forecast(self, horizon: int, alpha: float = 0.05) -> Forecast:
-        if horizon <= 0:
-            raise ModelError(f"horizon must be positive, got {horizon}")
-        slots, steps, labels = self._position_arrays(horizon)
-        mean = self.centroids[labels, slots]
-        std = self.band_stds[labels, slots] * np.sqrt(steps.astype(float))
-        return self.make_forecast(mean, std, alpha)
+        """The one-row case of :func:`forecast_cohort_arrays`."""
+        mean, std = _cohort_mean_std([self], horizon)
+        return self.make_forecast(mean[0], std[0], alpha)
 
     def advance(self, values: np.ndarray) -> tuple["FittedDayProfile", np.ndarray]:
         """Roll the label state through new observations without refitting.
@@ -337,6 +344,13 @@ def advance_cohort(
     and the chain base moves, so rolling one observation at a time and
     rolling the whole block produce identical states and innovations
     (chunking invariance, matching the smoothing family's contract).
+
+    The cohort is worked as a block: only rows that complete a day
+    z-normalise and label it (one distance pass over every completed
+    day), every position's next label comes from one gather of the
+    stacked ``(B, k, k)`` transitions (:func:`_next_labels`), and the
+    served values from one gather of the stacked ``(B, k, m)``
+    centroids.
     """
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 2:
@@ -352,37 +366,51 @@ def advance_cohort(
         raise ModelError("cannot roll day-profile state through non-finite values")
     spec = _cohort_spec(models)
     m = spec.period
-    seed = spec.seed
+    B = len(models)
+    rows = np.arange(B)
 
-    innovations = np.empty_like(values)
+    phases = np.array([model.phase for model in models], dtype=np.int64)
+    n_closed = ((phases + n_new) // m).tolist()
+    # Chain base per row: its last label, then each day the roll completes.
+    bases = np.empty((B, 1 + max(n_closed)), dtype=np.int64)
+    bases[:, 0] = [int(model.labels[-1]) for model in models]
+    day_labels: list[np.ndarray | None] = [None] * B
+    completing = [i for i in range(B) if n_closed[i]]
+    if completing:
+        days = []
+        for i in completing:
+            model = models[i]
+            tail = np.concatenate(
+                [model.train.values[len(model.train) - model.phase :], values[i]]
+            )
+            days.append(tail[: n_closed[i] * m].reshape(n_closed[i], m))
+        owner = np.repeat(np.arange(len(completing)), [n_closed[i] for i in completing])
+        z_centroids = np.stack([models[i].z_centroids for i in completing])
+        z = _znorm(np.concatenate(days))
+        dist = ((z[:, None, :] - z_centroids[owner]) ** 2).sum(axis=2)
+        labelled = dist.argmin(axis=1)
+        at = 0
+        for i in completing:
+            day_labels[i] = labelled[at : at + n_closed[i]]
+            bases[i, 1 : 1 + n_closed[i]] = day_labels[i]
+            at += n_closed[i]
+
+    # One-step predictions: each observation is forecast one day-step
+    # past the most recent *closed* day at its own position.
+    offsets = phases[:, None] + np.arange(n_new)
+    base = bases[rows[:, None], offsets // m]
+    transitions = np.stack([model.transition for model in models])
+    pred = _next_labels(
+        transitions, np.repeat(rows, n_new), base.ravel(), spec.seed
+    ).reshape(B, n_new)
+    centroids = np.stack([model.centroids for model in models])
+    innovations = values - centroids[rows[:, None], pred, offsets % m]
+
     out: list[FittedDayProfile] = []
     for i, model in enumerate(models):
-        phase0 = model.phase
-        tail = np.concatenate(
-            [model.train.values[len(model.train) - phase0 :], values[i]]
-        )
-        closed = tail.size // m
-        # Label every day the batch completes, by nearest z-space centroid
-        # (one vectorised distance pass for the whole batch).
-        if closed:
-            z = _znorm(tail[: closed * m].reshape(closed, m))
-            dist = ((z[:, None, :] - model.z_centroids[None, :, :]) ** 2).sum(axis=2)
-            day_labels = dist.argmin(axis=1)
-            labels = np.concatenate([model.labels, day_labels])
-        else:
-            day_labels = np.empty(0, dtype=np.int64)
-            labels = model.labels
-        # One-step predictions: each observation is forecast one day-step
-        # past the most recent *closed* day at its own position.
-        offsets = phase0 + np.arange(n_new)
-        closed_before = offsets // m  # tail days complete before each position
-        base = np.concatenate([[int(model.labels[-1])], day_labels])[closed_before]
-        step_memo = {
-            int(lab): _step_label(model.transition, int(lab), seed)
-            for lab in np.unique(base)
-        }
-        pred = np.asarray([step_memo[int(lab)] for lab in base], dtype=np.int64)
-        innovations[i] = values[i] - model.centroids[pred, offsets % m]
+        labels = model.labels
+        if day_labels[i] is not None:
+            labels = np.concatenate([labels, day_labels[i]])
         out.append(
             replace(
                 model,
@@ -392,10 +420,47 @@ def advance_cohort(
                 ),
                 residuals=np.concatenate([model.residuals, innovations[i]]),
                 labels=labels,
-                phase=int(tail.size - closed * m),
+                phase=int(phases[i]) + n_new - n_closed[i] * m,
             )
         )
     return out, innovations
+
+
+def _cohort_mean_std(
+    models: list[FittedDayProfile], horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``(B, horizon)`` forecast means and standard deviations.
+
+    Each row steps its label chain one day at a time from its last
+    complete day, the whole cohort per step (:func:`_next_labels`), then
+    takes its means and band spreads from one gather of the stacked
+    ``(B, k, m)`` centroids and band matrices; the spread widens with
+    ``sqrt(days-ahead)``.
+    """
+    if horizon <= 0:
+        raise ModelError(f"horizon must be positive, got {horizon}")
+    spec = _cohort_spec(models)
+    m = spec.period
+    B = len(models)
+    rows = np.arange(B)
+    offsets = np.array([model.phase for model in models])[:, None] + np.arange(horizon)
+    slots = offsets % m
+    steps = offsets // m + 1  # days past the last complete day
+    days_ahead = steps[:, -1]
+    transitions = np.stack([model.transition for model in models])
+    chain = np.empty((B, int(days_ahead.max())), dtype=np.int64)
+    current = np.array([int(model.labels[-1]) for model in models], dtype=np.int64)
+    for day in range(chain.shape[1]):
+        # Rows whose horizon ends earlier stop stepping.
+        live = rows[days_ahead > day]
+        current[live] = _next_labels(transitions, live, current[live], spec.seed)
+        chain[live, day] = current[live]
+    labels = chain[rows[:, None], steps - 1]
+    centroids = np.stack([model.centroids for model in models])
+    band_stds = np.stack([model.band_stds for model in models])
+    mean = centroids[rows[:, None], labels, slots]
+    std = band_stds[rows[:, None], labels, slots] * np.sqrt(steps.astype(float))
+    return mean, std
 
 
 def forecast_cohort_arrays(
@@ -403,27 +468,12 @@ def forecast_cohort_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forecast a same-spec cohort as stacked ``(B, horizon)`` bands.
 
-    Returns ``(mean, lower, upper)`` — row ``i`` bit-identical to
-    ``models[i].forecast(horizon, alpha)``'s band values, without
-    building per-key Forecast/TimeSeries objects. The caller owns
-    timestamps (each row starts one step after its model's training end).
+    Returns ``(mean, lower, upper)``; :meth:`FittedDayProfile.forecast`
+    is the one-row case, so row ``i`` equals ``models[i].forecast(horizon,
+    alpha)``'s band values, without building per-key Forecast/TimeSeries
+    objects. The caller owns timestamps (each row starts one step after
+    its model's training end).
     """
-    if horizon <= 0:
-        raise ModelError(f"horizon must be positive, got {horizon}")
-    spec = _cohort_spec(models)
-    m = spec.period
-    B = len(models)
-    offsets = np.asarray([model.phase for model in models])[:, None] + np.arange(horizon)[None, :]
-    slots = offsets % m
-    steps = offsets // m + 1
-    labels_per_pos = np.empty_like(slots)
-    for i, model in enumerate(models):
-        chain = model._chain(int(steps[i, -1]))
-        labels_per_pos[i] = np.asarray(chain, dtype=np.int64)[steps[i] - 1]
-    rows = np.arange(B)[:, None]
-    cent = np.stack([model.centroids for model in models])
-    stds = np.stack([model.band_stds for model in models])
-    mean = cent[rows, labels_per_pos, slots]
-    std = stds[rows, labels_per_pos, slots] * np.sqrt(steps.astype(float))
+    mean, std = _cohort_mean_std(models, horizon)
     z = band_z(alpha)
     return mean, mean - z * std, mean + z * std

@@ -156,62 +156,30 @@ class FittedExpSmoothing(FittedModel):
     def label(self) -> str:
         return self.family
 
-    def _damp_sums(self, horizon: int) -> np.ndarray:
-        """Geometric trend multipliers ``sum(phi**i, i=1..h)`` for h=1..horizon.
-
-        One cumulative sum instead of the former O(horizon²) nested
-        accumulation; the cumsum adds terms in the same order the nested
-        sums did, so results agree to the last ulp.
-        """
-        if not self.spec.damped:
-            return np.arange(1, horizon + 1, dtype=float)
-        return np.cumsum(self.phi ** np.arange(1, horizon + 1, dtype=float))
-
     def point_forecast(self, horizon: int) -> np.ndarray:
-        """The forecast's mean values: :meth:`forecast` without the band."""
-        m = self.spec.period
-        if self.spec.trend:
-            out = self.level + self._damp_sums(horizon) * self.trend
-        else:
-            out = np.full(horizon, self.level)
-        if self.spec.seasonal:
-            # Seasonal buffer index continuing the training rotation.
-            s_idx = (len(self.train) + np.arange(horizon)) % m
-            if self.spec.seasonal == "add":
-                out = out + self.seasonal_state[s_idx]
-            else:
-                out = out * self.seasonal_state[s_idx]
-        return np.asarray(out, dtype=float)
+        """The forecast's mean values: :meth:`forecast` without the band.
+
+        The one-row case of the cohort point forecast.
+        """
+        spec = self.spec
+        damp = _cohort_damp([self], spec, horizon)
+        return _cohort_point_forecast([self], spec, horizon, damp)[0]
 
     def _forecast_std(self, horizon: int) -> np.ndarray:
         """Forecast standard deviations.
 
-        Additive models use the closed-form cumulative-variance expressions;
-        multiplicative seasonality falls back to a Gaussian simulation
-        through the recursion: 500 paths of the seed-1234 standard-normal
-        draw (:func:`_unit_shocks`, shared by every fit) scaled by this
-        fit's sigma, bit for bit what a fresh ``default_rng(1234)``'s
+        Additive models use the closed-form cumulative-variance
+        expressions, as the one-row case of the cohort std. Multiplicative
+        seasonality falls back to a Gaussian simulation through the
+        recursion: 500 paths of the seed-1234 standard-normal draw
+        (:func:`_unit_shocks`, shared by every fit) scaled by this fit's
+        sigma, bit for bit what a fresh ``default_rng(1234)``'s
         ``normal(0.0, sigma, (500, horizon))`` would draw.
         """
-        sigma = np.sqrt(self.sigma2)
-        m = self.spec.period
-        if self.spec.seasonal != "mul":
-            # c_j coefficients for j = 1..horizon, built in one vector pass
-            # (the damped-trend multipliers come from the cumulative
-            # geometric sum, not the former per-h nested accumulation).
-            c = np.full(horizon, self.alpha)
-            if self.spec.trend:
-                c = c + self.alpha * self.beta * self._damp_sums(horizon)
-            if self.spec.seasonal == "add" and m > 1:
-                c = np.where(
-                    np.arange(1, horizon + 1) % m == 0,
-                    c + self.gamma * (1 - self.alpha),
-                    c,
-                )
-            # var_h = sigma2 * (1 + sum_{j<h} c_j^2): the accumulator lags
-            # one step, hence the leading zero.
-            acc = np.concatenate(([0.0], np.cumsum(c[:-1] ** 2)))
-            return np.sqrt(self.sigma2 * (1.0 + acc))
+        spec = self.spec
+        if spec.seasonal != "mul":
+            damp = _cohort_damp([self], spec, horizon)
+            return _cohort_forecast_std([self], spec, horizon, damp)[0]
         sims = kernels.ets_mul_paths(
             self.level,
             self.trend,
@@ -220,10 +188,10 @@ class FittedExpSmoothing(FittedModel):
             self.beta,
             self.gamma,
             self.phi,
-            self.spec.trend,
-            m,
+            spec.trend,
+            spec.period,
             len(self.train),
-            _mul_shocks(np.atleast_1d(sigma), horizon)[0],
+            _mul_shocks(np.atleast_1d(np.sqrt(self.sigma2)), horizon)[0],
         )
         return sims.std(axis=0)
 
@@ -720,6 +688,21 @@ def advance_cohort(
     return out, errors
 
 
+def _cohort_damp(models: list[FittedExpSmoothing], spec: _EtsSpec, horizon: int) -> np.ndarray:
+    """Trend multipliers ``sum(phi**i, i=1..h)`` for h = 1..horizon, ``(B, horizon)``.
+
+    Damped trends take one cumulative sum per row, adding the terms in
+    order; an undamped trend's multiplier is ``h``. ``(B, 0)`` without a
+    trend.
+    """
+    if not spec.trend:
+        return np.empty((len(models), 0))
+    if spec.damped:
+        phis = np.array([model.phi for model in models])
+        return np.cumsum(phis[:, None] ** np.arange(1, horizon + 1, dtype=float), axis=1)
+    return np.repeat(np.arange(1, horizon + 1, dtype=float)[None, :], len(models), axis=0)
+
+
 def _cohort_point_forecast(
     models: list[FittedExpSmoothing], spec: _EtsSpec, horizon: int, damp: np.ndarray
 ) -> np.ndarray:
@@ -809,6 +792,8 @@ def _cohort_forecast_std(
                 c + (gammas * (1 - alphas))[:, None],
                 c,
             )
+        # var_h = sigma2 * (1 + sum_{j<h} c_j^2): the accumulator lags
+        # one step, hence the leading zero.
         acc = np.concatenate(
             [np.zeros((B, 1)), np.cumsum(c[:, :-1] ** 2, axis=1)], axis=1
         )
@@ -850,14 +835,7 @@ def forecast_cohort_arrays(
     if horizon <= 0:
         raise ModelError(f"horizon must be positive, got {horizon}")
     spec = _cohort_params(models)
-    if spec.trend:
-        if spec.damped:
-            phis = np.array([model.phi for model in models])
-            damp = np.cumsum(phis[:, None] ** np.arange(1, horizon + 1, dtype=float), axis=1)
-        else:
-            damp = np.repeat(np.arange(1, horizon + 1, dtype=float)[None, :], len(models), axis=0)
-    else:
-        damp = np.empty((len(models), 0))
+    damp = _cohort_damp(models, spec, horizon)
     mean = _cohort_point_forecast(models, spec, horizon, damp)
     std = _cohort_forecast_std(models, spec, horizon, damp)
     if np.any(std < 0):

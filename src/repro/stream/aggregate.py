@@ -29,14 +29,18 @@ scheduler without touching the raw store.
 
 Finalisation is **dirty-key driven**: the bus records which keys accepted
 samples since the last tick, and :meth:`advance` visits exactly those —
-a quiet 100k-key estate pays O(touched), not O(estate), per tick. When a
-key has several windows ready at once (a catch-up burst, a long-idle key
-waking up) they close in one bulk pass: a single ``consume_span`` pops
-the whole span, and per-window means come from one ``np.bincount``
-accumulation over window indices rather than per-window ``consume`` +
-``np.mean`` calls. The accumulation runs in buffer insertion order —
-the same order the sequential mean summed — keeping every emitted value
-bit-identical to the one-window-at-a-time path.
+a quiet 100k-key estate pays O(touched), not O(estate), per tick. Every
+due window of every touched key closes in **one pass** per tick, however
+many keys and windows that is (a steady hour, a catch-up burst, a
+long-idle key waking up): per key the pass only reads the watermark and
+grid anchor, one :meth:`~repro.stream.ingest.IngestBus.consume_spans`
+call pops every closing key's span as flat arrays, and one weighted
+``np.bincount`` over global window indices gives every window's sum and
+count. A bin accumulates in scan order, which within a window is the
+key's buffer insertion order — the order a sequential mean sums — so
+every emitted value is bit-identical to closing one window at a time.
+Windows of eight or more polls keep one ``np.mean`` per window, because
+numpy sums eight or more addends pairwise.
 """
 
 from __future__ import annotations
@@ -140,84 +144,109 @@ class WindowAggregator:
     def _count(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
 
-    def _close_up_to(self, kid: int, limit_slot: int) -> list[ClosedWindow]:
-        """Finalise every window of key ``kid`` whose end slot is ≤ ``limit_slot``.
+    def _close(self, kids: list[int], limits: list[int]) -> list[ClosedWindow]:
+        """Finalise every window of every listed key that ends by its limit slot.
 
-        All ready windows close in one pass: a single
-        :meth:`~repro.stream.ingest.IngestBus.consume_span` pops the full
-        span and a ``bincount`` over window indices accumulates each
-        window's sum and count — means, emptiness and partial-window
-        accounting for the whole burst come out of one sweep.
+        Key ``kids[r]`` closes each window whose end slot is at or below
+        ``limits[r]``. Per key this reads the grid anchor and the closed
+        count: list work only. One batched
+        :meth:`~repro.stream.ingest.IngestBus.consume_spans` then pops
+        every closing key's span, one vectorised pass maps each popped
+        sample to its window, and one ``bincount`` over the whole batch
+        gives every window's sample count and sum. A bin accumulates in
+        scan order, which within a window is the key's buffer insertion
+        order, so each mean is the one a per-window pass would compute.
+
+        Returns the closed windows, key by key in ``kids`` order and left
+        to right within a key.
         """
-        state = self._keys.setdefault(kid, _KeyWindows())
-        if state.closed == 0:
-            # The grid anchor is the batch path's t0: the key's earliest
-            # *accepted* sample. It must keep tracking min_slot until the
-            # first window actually closes — an out-of-order arrival can
-            # still move the grid start earlier while no hour is final,
-            # and freezing too early would sweep that sample into the
-            # first window (corrupting its mean) and misalign every
-            # window after it relative to the batch grid.
-            min_slot = self.bus.min_slot_of(kid)
-            if min_slot is None:
-                return []
-            state.anchor_slot = min_slot
+        keys = self._keys
         ratio = self.ratio
-        n_windows = (limit_slot - state.anchor_slot) // ratio - state.closed
-        if n_windows <= 0:
+        min_slot_of = self.bus.min_slot_of
+        close_kids: list[int] = []
+        states: list[_KeyWindows] = []
+        bases: list[int] = []
+        n_windows: list[int] = []
+        for kid, limit in zip(kids, limits):
+            state = keys.get(kid)
+            if state is None:
+                state = keys[kid] = _KeyWindows()
+            if state.closed == 0:
+                # The grid anchor is the batch path's t0: the key's
+                # earliest *accepted* sample. It must keep tracking
+                # min_slot until the first window actually closes — an
+                # out-of-order arrival can still move the grid start
+                # earlier while no hour is final, and freezing too early
+                # would sweep that sample into the first window
+                # (corrupting its mean) and misalign every window after
+                # it relative to the batch grid.
+                anchor = min_slot_of(kid)
+                if anchor is None:
+                    continue
+                state.anchor_slot = anchor
+            n = (limit - state.anchor_slot) // ratio - state.closed
+            if n > 0:
+                close_kids.append(kid)
+                states.append(state)
+                bases.append(state.anchor_slot + state.closed * ratio)
+                n_windows.append(n)
+        if not close_kids:
             return []
-        base = state.anchor_slot + state.closed * ratio
-        upto = base + n_windows * ratio
-        slots, values = self.bus.consume_span(kid, upto, from_slot=base)
-        window_idx = (slots - base) // ratio
-        counts = np.bincount(window_idx, minlength=n_windows)
+
+        uptos = [base + n * ratio for base, n in zip(bases, n_windows)]
+        sample_key, slots, values = self.bus.consume_spans(close_kids, uptos, bases)
+        first_window = np.zeros(len(close_kids) + 1, dtype=np.int64)
+        np.cumsum(n_windows, out=first_window[1:])
+        total = int(first_window[-1])
+        base_arr = np.array(bases, dtype=np.int64)
+        window_idx = first_window[sample_key] + (slots - base_arr[sample_key]) // ratio
+        counts = np.bincount(window_idx, minlength=total)
         if ratio < 8:
-            # bincount's weighted accumulation adds values in scan order
-            # — the buffer's insertion order, exactly the sequence a
-            # per-window np.mean(list(...)) would have summed. For fewer
-            # than 8 addends numpy's reduction is the same plain
-            # sequential loop, so sum (and thus mean) is bit-identical.
-            # Empty windows divide 0/0 into the batch path's NaN.
+            # For fewer than 8 addends numpy's mean is the same plain
+            # sequential loop as bincount's accumulation, so sum (and
+            # thus mean) is bit-identical. Empty windows divide 0/0 into
+            # the batch path's NaN.
             with np.errstate(invalid="ignore"):
-                means = np.bincount(
-                    window_idx, weights=values, minlength=n_windows
-                ) / counts
+                means = np.bincount(window_idx, weights=values, minlength=total) / counts
         else:
             # At 8+ addends numpy switches to unrolled pairwise
             # summation, which a left-to-right bincount would not match
             # bit-for-bit — fall back to one np.mean per window over the
             # insertion-ordered slice (stable sort keeps that order).
-            means = np.full(n_windows, np.nan)
+            means = np.full(total, np.nan)
             order = np.argsort(window_idx, kind="stable")
-            bounds = np.searchsorted(window_idx[order], np.arange(n_windows + 1))
-            for i in range(n_windows):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
+            bounds = np.searchsorted(window_idx[order], np.arange(total + 1)).tolist()
+            for i in range(total):
+                lo, hi = bounds[i], bounds[i + 1]
                 if hi > lo:
                     means[i] = np.mean(values[order[lo:hi]])
-        instance, metric = self.bus.key_table.key_of(kid)
-        step = self.bus.step
+        window_key = np.repeat(np.arange(len(close_kids)), n_windows)
+        within = np.arange(total) - first_window[window_key]
+        starts = ((base_arr[window_key] + within * ratio) * self.bus.step).tolist()
         mean_list = means.tolist()
         count_list = counts.tolist()
-        closed = [
-            ClosedWindow(
-                instance=instance,
-                metric=metric,
-                start=(base + i * ratio) * step,
-                value=mean_list[i],
-                n_samples=count_list[i],
-                expected=ratio,
-            )
-            for i in range(n_windows)
-        ]
-        state.closed += n_windows
-        state.values.extend(mean_list)
-        if self.history_limit is not None and len(state.values) > self.history_limit:
-            drop = len(state.values) - self.history_limit
-            del state.values[:drop]
-            state.trimmed += drop
-        self._count("windows_closed", n_windows)
-        self._count("samples_aggregated", int(counts.sum()))
-        n_empty = n_windows - int(np.count_nonzero(counts))
+
+        key_of = self.bus.key_table.key_of
+        limit = self.history_limit
+        closed: list[ClosedWindow] = []
+        at = 0
+        for kid, state, n in zip(close_kids, states, n_windows):
+            instance, metric = key_of(kid)
+            for i in range(at, at + n):
+                closed.append(
+                    ClosedWindow(instance, metric, starts[i], mean_list[i], count_list[i], ratio)
+                )
+            state.closed += n
+            state.values.extend(mean_list[at : at + n])
+            if limit is not None and len(state.values) > limit:
+                drop = len(state.values) - limit
+                del state.values[:drop]
+                state.trimmed += drop
+            at += n
+
+        self._count("windows_closed", total)
+        self._count("samples_aggregated", int(slots.size))
+        n_empty = total - int(np.count_nonzero(counts))
         if n_empty:
             self._count("windows_empty", n_empty)
         n_partial = int(np.count_nonzero((counts > 0) & (counts < ratio)))
@@ -239,15 +268,20 @@ class WindowAggregator:
         Only the keys the bus marked **dirty** since the last tick are
         visited: an untouched key's watermark has not moved and its
         anchor cannot have re-based, so it can close nothing. The tick
-        therefore costs O(keys touched), independent of estate size.
+        therefore costs O(keys touched), independent of estate size, and
+        all of them close in one pass (:meth:`_close`).
         """
-        closed: list[ClosedWindow] = []
-        for kid in self.bus.take_dirty():
-            wm_slot = self.bus.watermark_slot_of(kid)
-            if wm_slot is None:
-                continue
-            closed.extend(self._close_up_to(kid, wm_slot))
-        return closed
+        bus = self.bus
+        lateness = bus.lateness_slots
+        max_slot_of = bus.max_slot_of
+        kids: list[int] = []
+        limits: list[int] = []
+        for kid in bus.take_dirty():
+            top = max_slot_of(kid)
+            if top is not None:
+                kids.append(kid)
+                limits.append(top - lateness)
+        return self._close(kids, limits)
 
     def flush(self) -> list[ClosedWindow]:
         """End-of-stream: finalise every window fully covered by the data.
@@ -259,15 +293,18 @@ class WindowAggregator:
         and counted (``samples_discarded_at_flush``), exactly as
         :meth:`TimeSeries.aggregate` drops a partial trailing bucket.
         """
-        closed: list[ClosedWindow] = []
-        for kid in self.bus.live_kids():
-            max_slot = self.bus.max_slot_of(kid)
-            if max_slot is None:
-                continue
-            closed.extend(self._close_up_to(kid, max_slot + 1))
-            leftover_slots, __ = self.bus.consume_span(kid, max_slot + 1)
-            if leftover_slots.size:
-                self._count("samples_discarded_at_flush", int(leftover_slots.size))
+        bus = self.bus
+        kids: list[int] = []
+        limits: list[int] = []
+        for kid in bus.live_kids():
+            top = bus.max_slot_of(kid)
+            if top is not None:
+                kids.append(kid)
+                limits.append(top + 1)
+        closed = self._close(kids, limits)
+        __, leftover, __ = bus.consume_spans(kids, limits)
+        if leftover.size:
+            self._count("samples_discarded_at_flush", int(leftover.size))
         return closed
 
     def evict(self, instance: str, metric: str) -> None:

@@ -681,37 +681,78 @@ class IngestBus:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Columnar :meth:`consume` by key id: ``(slots, values)`` arrays.
 
-        Both arrays preserve the buffer's insertion order — the order a
-        sequential consume's dict comprehension would have walked — so
-        downstream means accumulate in the identical sequence.
+        The one-key case of :meth:`consume_spans`.
         """
-        slots_dict = self._slots[kid]
-        if not slots_dict:
-            if upto_slot > self._frontier[kid]:
-                self._frontier[kid] = upto_slot
-                self._any_frontier = True
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        held = len(slots_dict)
-        slots = np.fromiter(slots_dict.keys(), dtype=np.int64, count=held)
-        vals = np.fromiter(slots_dict.values(), dtype=np.float64, count=held)
-        take = slots < upto_slot
-        n_take = int(take.sum())
-        if n_take:
-            self._buffered -= n_take
-            if n_take == held:
-                slots_dict.clear()
+        __, slots, values = self.consume_spans(
+            [kid], [upto_slot], None if from_slot is None else [from_slot]
+        )
+        return slots, values
+
+    def consume_spans(
+        self, kids: list[int], upto_slots: list[int], from_slots: list[int] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pop many keys' buffered slots in one pass: ``(rows, slots, values)``.
+
+        Row ``r`` stands for key ``kids[r]``: its buffered slots below
+        ``upto_slots[r]`` leave the buffer (releasing their capacity) and
+        its frontier moves up to ``upto_slots[r]``, so later arrivals
+        below it are dropped as late. With ``from_slots``, popped slots
+        below ``from_slots[r]`` can never land anywhere once the frontier
+        passes them: they are counted as ``samples_late_dropped`` and
+        left out of the result — a closed window only ever holds its own
+        span. The returned arrays hold the other popped samples and the
+        row each came from, key by key in ``kids`` order and, within a
+        key, in buffer insertion order: the order a sequential consume's
+        dict walk would take, so downstream means accumulate in the
+        identical sequence. The only per-key work is list work: reading
+        each buffer into flat lists, then rebuilding or clearing it.
+        """
+        store = self._slots
+        held: list[int] = []
+        flat_slots: list[int] = []
+        flat_values: list[float] = []
+        for kid in kids:
+            buf = store[kid]
+            if buf:
+                held.append(len(buf))
+                flat_slots.extend(buf)
+                flat_values.extend(buf.values())
             else:
-                keep = ~take
-                self._slots[kid] = dict(
-                    zip(slots[keep].tolist(), vals[keep].tolist())
-                )
-        if from_slot is not None:
-            stale = take & (slots < from_slot)
-            n_stale = int(stale.sum())
+                held.append(0)
+        slots = np.array(flat_slots, dtype=np.int64)
+        values = np.array(flat_values, dtype=np.float64)
+        rows = np.repeat(np.arange(len(kids)), held)
+        upto = np.array(upto_slots, dtype=np.int64)
+        take = slots < upto[rows]
+        taken = take
+        if from_slots is not None:
+            stale = take & (slots < np.array(from_slots, dtype=np.int64)[rows])
+            n_stale = int(np.count_nonzero(stale))
             if n_stale:
                 self._count("samples_late_dropped", n_stale)
-                take &= ~stale
-        if upto_slot > self._frontier[kid]:
-            self._frontier[kid] = upto_slot
+                taken = take & ~stale
+
+        n_take = np.bincount(rows[take], minlength=len(kids)).tolist()
+        kept = ~take
+        kept_slots = slots[kept].tolist()
+        kept_values = values[kept].tolist()
+        frontier = self._frontier
+        moved = False
+        at = 0
+        for kid, n_held, n_popped, up in zip(kids, held, n_take, upto_slots):
+            n_kept = n_held - n_popped
+            if n_popped:
+                if n_kept:
+                    store[kid] = dict(
+                        zip(kept_slots[at : at + n_kept], kept_values[at : at + n_kept])
+                    )
+                else:
+                    store[kid].clear()
+            at += n_kept
+            if up > frontier[kid]:
+                frontier[kid] = up
+                moved = True
+        self._buffered -= len(flat_slots) - len(kept_slots)
+        if moved:
             self._any_frontier = True
-        return slots[take], vals[take]
+        return rows[taken], slots[taken], values[taken]

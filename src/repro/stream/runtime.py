@@ -161,6 +161,8 @@ class StreamConfig:
         Alert debounce knobs (see :class:`~repro.stream.alerts.AlertManager`).
     min_observations / horizon / history_cap:
         Scheduler knobs (see :class:`~repro.stream.scheduler.ForecastScheduler`).
+        ``history_cap`` also bounds the windows the aggregator keeps per
+        key, so neither copy of a key's hourly history outgrows it.
     dayprofile:
         Enable the day-profile rung of the scheduler's degradation
         ladder (see :class:`~repro.stream.scheduler.ForecastScheduler`).
@@ -249,7 +251,11 @@ class StreamRuntime:
             capacity=self.config.capacity,
             injector=injector,
         )
-        self.aggregator = WindowAggregator(self.bus, Frequency.HOURLY)
+        # The aggregator's window copy obeys the same cap as the
+        # scheduler's history, or it would grow one value per key-hour.
+        self.aggregator = WindowAggregator(
+            self.bus, Frequency.HOURLY, history_limit=self.config.history_cap
+        )
         self.trace = RunTrace()
         self.scheduler = ForecastScheduler(
             self.planner,

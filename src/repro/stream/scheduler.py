@@ -373,6 +373,8 @@ class ForecastScheduler:
         #: The stream runtime hands in the bus's table so one id means
         #: the same key on the bus, in the aggregator and here.
         self.key_table = key_table if key_table is not None else KeyTable()
+        #: Each key's WorkloadKey, indexed by key id and built once.
+        self._wkeys: list[WorkloadKey] = []
         self._histories: dict[int, _KeyHistory] = {}
         self._registered: set[int] = set()
         #: Cached grading order (registered kids sorted by StreamKey);
@@ -389,11 +391,21 @@ class ForecastScheduler:
 
     # ------------------------------------------------------------------
     def workload_key(self, instance: str, metric: str) -> WorkloadKey:
-        return WorkloadKey(customer=self.customer, workload=instance, metric=metric)
+        kid = self.key_table.id_of(instance, metric)
+        if kid is None:
+            return WorkloadKey(customer=self.customer, workload=instance, metric=metric)
+        return self._wkey(kid)
 
     def _wkey(self, kid: int) -> WorkloadKey:
-        instance, metric = self.key_table.key_of(kid)
-        return WorkloadKey(customer=self.customer, workload=instance, metric=metric)
+        """The key's WorkloadKey, built once per id (the table only grows)."""
+        wkeys = self._wkeys
+        if kid >= len(wkeys):
+            key_of = self.key_table.key_of
+            customer = self.customer
+            for new in range(len(wkeys), len(self.key_table)):
+                instance, metric = key_of(new)
+                wkeys.append(WorkloadKey(customer=customer, workload=instance, metric=metric))
+        return wkeys[kid]
 
     def _now(self) -> float:
         if self.clock is not None:
@@ -476,12 +488,14 @@ class ForecastScheduler:
         step = float(self.window_frequency.seconds)
         intern = self.key_table.intern
         fresh: dict[int, list[float]] = {}
-        for window in windows:
+        for observed, window in enumerate(windows):
             kid = intern(window.instance, window.metric)
             state = self._histories.setdefault(kid, _KeyHistory())
             if state.start is not None and len(state):
                 expected = state.start + len(state) * step
                 if abs(window.start - expected) > 1e-6 * step:
+                    if observed:  # the windows before this one were taken in
+                        self.trace.count("stream_windows_observed", observed)
                     raise DataError(
                         f"window for {window.instance}/{window.metric} at {window.start} "
                         f"breaks hourly continuity (expected {expected})"
@@ -491,18 +505,32 @@ class ForecastScheduler:
                 state.trim(self.history_cap, step)
             fresh.setdefault(kid, []).append(window.value)
             self._event_time = max(self._event_time, window.start + step)
-            self.trace.count("stream_windows_observed")
-
-        if windows and self.repository is not None:
-            self._persist_windows(windows)
+        if windows:
+            self.trace.count("stream_windows_observed", len(windows))
+            if self.repository is not None:
+                self._persist_windows(windows)
 
         now = self._now()
-        rolled = self._advance_live(fresh)
+        # One planner lookup per registered key serves the roll and the
+        # staleness loop below (neither changes another key's entry).
+        entries: dict[int, object] = {}
+        modelled: dict[int, tuple[SelectionOutcome, list[float]]] = {}
+        for kid, values in fresh.items():
+            if kid not in self._registered:
+                continue
+            try:
+                entry = entries[kid] = self.planner.entry(self._wkey(kid))
+            except DataError:
+                continue
+            if entry.status is WorkloadStatus.MODELLED and entry.outcome is not None:
+                modelled[kid] = (entry.outcome, values)
+        rolled = self._advance_live(modelled)
         pending = False
         for kid in fresh:
             wkey = self._wkey(kid)
             if kid in self._registered:
-                if self._entry_failed(wkey):
+                entry = entries.get(kid)
+                if entry is not None and entry.status is WorkloadStatus.FAILED:
                     # A failed selection left the key degraded; re-register
                     # with the grown history so the next report retries it.
                     self._register(kid)
@@ -596,8 +624,13 @@ class ForecastScheduler:
             self._live[kid] = live
         return live
 
-    def _advance_live(self, fresh: dict[int, list[float]]) -> dict[int, tuple | None]:
+    def _advance_live(
+        self, modelled: dict[int, tuple[SelectionOutcome, list[float]]]
+    ) -> dict[int, tuple | None]:
         """Roll every modelled key's state through this tick's closed windows.
+
+        ``modelled`` maps each key to its selection outcome and the
+        values of the windows it closed this tick.
 
         Same-spec exponential-smoothing and day-profile keys advance in
         one batched recursion per cohort
@@ -607,17 +640,10 @@ class ForecastScheduler:
         to ``None``, which :meth:`_absorb_roll` turns into a re-selection;
         its cohort peers still roll.
         """
-        candidates: list[tuple[int, _LiveModel, list[float]]] = []
-        for kid, values in fresh.items():
-            if kid not in self._registered:
-                continue
-            try:
-                entry = self.planner.entry(self._wkey(kid))
-            except DataError:
-                continue
-            if entry.status is not WorkloadStatus.MODELLED or entry.outcome is None:
-                continue
-            candidates.append((kid, self._live_model_for(kid, entry.outcome), values))
+        candidates = [
+            (kid, self._live_model_for(kid, outcome), values)
+            for kid, (outcome, values) in modelled.items()
+        ]
 
         results: dict[int, tuple | None] = {}
         groups: dict[tuple, list[int]] = {}
@@ -732,13 +758,6 @@ class ForecastScheduler:
         self._registered.add(kid)
         self._registered_order = None
 
-    def _entry_failed(self, wkey: WorkloadKey) -> bool:
-        try:
-            entry = self.planner.entry(wkey)
-        except DataError:
-            return False
-        return entry.status is WorkloadStatus.FAILED
-
     def _run_selection(self) -> EstateReport | None:
         """Run the planner's fan-out; a whole-run failure degrades, not crashes.
 
@@ -832,9 +851,15 @@ class ForecastScheduler:
             if entry.status is WorkloadStatus.MODELLED and entry.outcome is not None:
                 # Healthy path — and the moment to refresh rung 1 of the
                 # degradation ladder with the newest good outcome.
-                self._fallback[kid] = _CachedModel(
-                    outcome=entry.outcome, threshold=entry.threshold
-                )
+                cached = self._fallback.get(kid)
+                if (
+                    cached is None
+                    or cached.outcome is not entry.outcome
+                    or cached.threshold != entry.threshold
+                ):
+                    self._fallback[kid] = _CachedModel(
+                        outcome=entry.outcome, threshold=entry.threshold
+                    )
                 advisory = self._grade_healthy(kid, wkey, entry, now, deferred)
                 if advisory is _DEFERRED:
                     continue

@@ -11,6 +11,7 @@ from repro.exceptions import DataError, ModelError
 from repro.models import DayProfile
 from repro.models.dayprofile import (
     DayProfileSpec,
+    _step_label,
     advance_cohort,
     forecast_cohort_arrays,
 )
@@ -35,6 +36,15 @@ def three_shape_series(n_days=12, seed=0, noise=0.5, start_day=0):
     days = [shapes[(start_day + d) % 3] for d in range(n_days)]
     values = np.concatenate(days) + rng.normal(0, noise, n_days * PERIOD)
     return TimeSeries(values, frequency=Frequency.HOURLY, start=0.0, name="x.cpu")
+
+
+def chain_labels(fitted, n_days):
+    """Labels 1..n_days days past the last complete day, one _step_label each."""
+    labels, current = [], int(fitted.labels[-1])
+    for __ in range(n_days):
+        current = _step_label(fitted.transition, current, fitted.spec.seed)
+        labels.append(current)
+    return labels
 
 
 class TestFit:
@@ -136,7 +146,7 @@ class TestForecast:
         )
         fc = fitted.forecast(2 * PERIOD)
         # Full-day horizon from phase 0: two chain steps, one centroid each.
-        next_label = fitted._chain(2)
+        next_label = chain_labels(fitted, 2)
         np.testing.assert_array_equal(
             fc.mean.values[:PERIOD], fitted.centroids[next_label[0]]
         )
@@ -152,7 +162,9 @@ class TestForecast:
         width = fc.upper.values - fc.mean.values
         # The half-width at every position is z * band_stds[label, slot]
         # * sqrt(days-ahead): day three is sqrt(3)x its own day-one base.
-        slots, steps, labels = fitted._position_arrays(3 * PERIOD)
+        offsets = fitted.phase + np.arange(3 * PERIOD)
+        slots, steps = offsets % PERIOD, offsets // PERIOD + 1
+        labels = np.asarray(chain_labels(fitted, 3))[steps - 1]
         base = width / np.sqrt(steps.astype(float))
         np.testing.assert_allclose(
             base, base[0] / fitted.band_stds[labels[0], slots[0]]

@@ -139,7 +139,7 @@ class TestHoltWinters:
 class TestDampedClosedForm:
     """Regression pins for the closed-form damped-trend accumulation.
 
-    ``_damp_sums`` replaced an O(horizon²) nested accumulation; these tests
+    ``_cohort_damp`` replaced an O(horizon²) nested accumulation; these tests
     recompute forecasts and interval widths with the former per-step loops
     and require exact agreement, so any drift in the closed form shows up
     as a pinned-value break.

@@ -21,7 +21,12 @@ from repro.exceptions import ModelError
 from repro.models import Arima, HoltWinters, Sarimax, Tbats, kernels
 from repro.models import arima
 from repro.models.arima import ArimaOrder, FittedArima, SeasonalOrder
-from repro.models.ets import advance_cohort, forecast_cohort_arrays
+from repro.models.ets import (
+    FittedExpSmoothing,
+    _EtsSpec,
+    advance_cohort,
+    forecast_cohort_arrays,
+)
 
 
 def _seasonal(seed, n, period=24):
@@ -335,9 +340,97 @@ class TestEtsCohort:
         assert np.array_equal(innov[0], solo_innov)
         _assert_same_model(rolled[0], solo)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        trend=st.booleans(),
+        damped=st.booleans(),
+        seasonal=st.sampled_from([None, "add", "mul"]),
+        period=st.sampled_from([1, 3, 24]),
+        n_train=st.integers(3, 60),
+        horizon=st.integers(1, 60),
+        params=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        level=st.floats(-1e3, 1e3),
+        slope=st.floats(-5.0, 5.0),
+        sigma2=st.sampled_from([0.0, 1e-300, 0.37, 2.5, 1e6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_per_key_closed_form_is_the_parents(
+        self, trend, damped, seasonal, period, n_train, horizon, params, level, slope,
+        sigma2, seed,
+    ):
+        """point_forecast and the additive std equal the parent's per-key formulas.
+
+        Both are now the one-row case of the cohort path; the oracles
+        below are the parent's per-key code, and HES selection ranks
+        variants on ``point_forecast``, so any bit change would move it.
+        """
+        damped = trend and damped
+        seasonal = seasonal if period > 1 else None
+        rng = np.random.default_rng(seed)
+        alpha, beta, gamma, phi = params
+        seas = rng.normal(1.0 if seasonal == "mul" else 0.0, 0.3, period)
+        fit = FittedExpSmoothing(
+            train=TimeSeries(rng.normal(50.0, 5.0, n_train)),
+            residuals=np.zeros(n_train),
+            sigma2=sigma2,
+            n_params=1,
+            spec=_EtsSpec(trend=trend, damped=damped, seasonal=seasonal, period=period),
+            alpha=alpha,
+            beta=beta,
+            gamma=gamma,
+            phi=0.8 + 0.2 * phi if damped else 1.0,
+            level=level,
+            trend=slope if trend else 0.0,
+            seasonal_state=seas,
+        )
+        assert fit.point_forecast(horizon).tobytes() == oracle_point_forecast(fit, horizon).tobytes()
+        if seasonal != "mul":
+            assert fit._forecast_std(horizon).tobytes() == oracle_additive_std(fit, horizon).tobytes()
+
     def test_mixed_spec_cohort_rejected(self):
         y = _seasonal(20, 400)
         hw = HoltWinters(period=24).fit(TimeSeries(y[:360]))
         hw12 = HoltWinters(period=12).fit(TimeSeries(y[:360]))
         with pytest.raises(ModelError):
             advance_cohort([hw, hw12], np.zeros((2, 4)))
+
+
+# ---------------------------------------------------------------------------
+# The per-key closed-form band before it became the cohort's one-row case,
+# kept verbatim as the oracle of test_per_key_closed_form_is_the_parents.
+# ---------------------------------------------------------------------------
+def oracle_damp_sums(self, horizon):
+    if not self.spec.damped:
+        return np.arange(1, horizon + 1, dtype=float)
+    return np.cumsum(self.phi ** np.arange(1, horizon + 1, dtype=float))
+
+
+def oracle_point_forecast(self, horizon):
+    m = self.spec.period
+    if self.spec.trend:
+        out = self.level + oracle_damp_sums(self, horizon) * self.trend
+    else:
+        out = np.full(horizon, self.level)
+    if self.spec.seasonal:
+        # Seasonal buffer index continuing the training rotation.
+        s_idx = (len(self.train) + np.arange(horizon)) % m
+        if self.spec.seasonal == "add":
+            out = out + self.seasonal_state[s_idx]
+        else:
+            out = out * self.seasonal_state[s_idx]
+    return np.asarray(out, dtype=float)
+
+
+def oracle_additive_std(self, horizon):
+    m = self.spec.period
+    c = np.full(horizon, self.alpha)
+    if self.spec.trend:
+        c = c + self.alpha * self.beta * oracle_damp_sums(self, horizon)
+    if self.spec.seasonal == "add" and m > 1:
+        c = np.where(
+            np.arange(1, horizon + 1) % m == 0,
+            c + self.gamma * (1 - self.alpha),
+            c,
+        )
+    acc = np.concatenate(([0.0], np.cumsum(c[:-1] ** 2)))
+    return np.sqrt(self.sigma2 * (1.0 + acc))

@@ -173,3 +173,46 @@ class TestTelemetry:
         assert len(lines) == 4
         prefixes = [line.split(":")[0] for line in lines]
         assert prefixes == ["ingest", "windows", "models", "alerts"]
+
+
+class TestHistoryCap:
+    def test_capped_runtime_keeps_cap_windows_in_both_copies(self, stub_selection):
+        """history_cap bounds the aggregator's window copy as well as the scheduler's."""
+        cap = 30
+        config = StreamConfig(
+            thresholds={"cpu": 100.0},
+            jitter_seconds=600.0,
+            duplicate_rate=0.1,
+            min_observations=24,
+            history_cap=cap,
+            seed=7,
+        )
+        rt = runtime(config)
+        hours = cap + 90
+        rt.run(polls(hours, instance="db1") + polls(hours, value=55.0, instance="db2"))
+        for instance in ("db1", "db2"):
+            history = rt.scheduler.history(instance, "cpu")
+            windows = rt.aggregator.series(instance, "cpu")
+            assert len(history) == len(windows) == cap
+            assert windows.start == history.start
+            assert np.array_equal(windows.values, history.values)
+            # The last hour is still open; every earlier one was counted.
+            assert rt.aggregator.windows_closed(instance, "cpu") == hours - 1
+        assert rt.aggregator.counters["windows_closed"] == 2 * (hours - 1)
+
+        # A capped key migrates whole and keeps closing windows in step.
+        moved = runtime(config)
+        moved.adopt_key("db1", "cpu", rt.export_key("db1", "cpu"))
+        assert rt.export_key("db1", "cpu") == moved.export_key("db1", "cpu")
+        more = polls(6, value=60.0, start_hour=hours, instance="db1")
+        rt.run(more)
+        moved.run(more)
+        for rt_ in (rt, moved):
+            rt_.finish()
+        for layer in ("aggregator", "scheduler"):
+            read = "series" if layer == "aggregator" else "history"
+            a = getattr(getattr(rt, layer), read)("db1", "cpu")
+            b = getattr(getattr(moved, layer), read)("db1", "cpu")
+            assert len(a) == len(b) == cap
+            assert (a.start, a.values.tobytes()) == (b.start, b.values.tobytes())
+        assert moved.aggregator.windows_closed("db1", "cpu") == hours + 6

@@ -264,3 +264,51 @@ def test_planning_view_band_equals_a_fresh_forecast(estate, monkeypatch):
     tick = runtime.ingest_batch([], clock_target=runtime.clock.now() + 60.0)
     assert tick.advisories[degraded.key].degraded == "cached-model"
     _assert_views_fresh(runtime, estate)
+
+
+def _bincount_calls_per_tick(n_keys, monkeypatch):
+    """np.bincount calls made by one serve-shaped tick with ``n_keys`` dirty keys.
+
+    Every key adopts the same HES fit and receives an hour of four
+    jittered, partly duplicated polls per tick, so each tick closes one
+    window per key, rolls and grades every key.
+    """
+    unfitted = HoltWinters(period=PERIOD)
+    values = _history(7)
+    model = unfitted.fit(TimeSeries(values[:HISTORY], Frequency.HOURLY))
+    runtime = StreamRuntime(
+        EstatePlanner(config=AutoConfig(technique="hes", n_jobs=1)),
+        StreamConfig(thresholds={"cpu": THRESHOLD}, jitter_seconds=1200.0, seed=5),
+        executor=SerialExecutor(),
+    )
+    keys = []
+    for k in range(n_keys):
+        name = f"db{k:03d}"
+        history = TimeSeries(values[:HISTORY], Frequency.HOURLY, name=f"{name}.cpu")
+        runtime.scheduler.seed_history(name, "cpu", history)
+        runtime.scheduler.adopt_model(name, "cpu", _clone(model, "hes", 0.0, history))
+        keys.append((name, history, None, values))
+    calls = []
+    bincount = np.bincount
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    per_tick = []
+    for hour in range(HISTORY, HISTORY + 4):
+        calls.clear()
+        tick = runtime.ingest_batch(runtime.delivery_order(_polls(keys, hour)))
+        per_tick.append(len(calls))
+    assert len(tick.advisories) == n_keys
+    assert runtime.aggregator.counters["windows_closed"] == 3 * n_keys
+    return per_tick[1:]  # the first delivery closes no window yet
+
+
+def test_window_close_runs_one_pass_however_many_keys_are_dirty(monkeypatch):
+    """Closing 64 keys' windows costs the same number of bincount calls as 8."""
+    few = _bincount_calls_per_tick(8, monkeypatch)
+    many = _bincount_calls_per_tick(64, monkeypatch)
+    assert few == many
+    assert min(few) > 0
